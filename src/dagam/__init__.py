@@ -2,10 +2,8 @@
 
 Layering, bottom to top: a float64 reverse-mode autodiff core (`tensor`,
 `ops`, `optim`, `gradcheck`), channel-graph construction (`graph`,
-`layouts`), differential-entropy features (`features`), the model
-(`model`), losses and evaluation protocols (`losses`, `training`), and
-dataset/CLI plumbing (`synthetic`, `datasets`, `config`, `checkpoint`,
-`reports`, `cli`).
+`layouts`), differential-entropy features (`features`), and the model
+(`model`). Failures raise the classes in `errors`.
 """
 
 from .tensor import Tape, Tensor, backward

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Every failure mode the library reports deliberately maps to one of these
-classes, so callers (and the CLI exit-code mapping) can tell configuration
-mistakes apart from bad data or a diverging run.
+classes, so callers can tell configuration mistakes apart from bad data or
+a diverging run.
 """
 
 

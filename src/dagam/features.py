@@ -38,8 +38,10 @@ class Recording:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2:
             raise DataError(f"samples must be channels x time, got shape {self.samples.shape}")
-        if self.rate <= 0:
-            raise DataError(f"sampling rate must be positive, got {self.rate}")
+        if not 0 < self.rate < np.inf:
+            raise DataError(f"sampling rate must be positive and finite, got {self.rate}")
+        if not np.isfinite(self.samples).all():
+            raise DataError("samples must be finite; found NaN or infinity")
 
     @property
     def n_channels(self) -> int:

@@ -3,7 +3,7 @@
 ``grad_check`` is the oracle used throughout the test suite: it compares
 the tape's analytic gradients with a numeric derivative computed from two
 function evaluations per coordinate. Functions must be evaluated away from
-non-smooth points (relu kinks, max ties, clamp edges); the check inspects
+non-smooth points (relu kinks, max ties, the log floor); the check inspects
 the recorded tape and rejects inputs that sit within the perturbation step
 of such a point, since the two oracles legitimately disagree there.
 """
@@ -37,8 +37,8 @@ def _top_two_gap(values: np.ndarray, axis: int | None) -> float:
 def nonsmooth_margin(tape: Tape) -> float:
     """Distance from the recorded evaluation point to the nearest kink.
 
-    Covers relu kinks at zero, ties in max reductions, the log floor, and
-    clamp boundaries. Infinite when every recorded op is smooth at its input.
+    Covers relu kinks at zero, ties in max reductions and the log floor.
+    Infinite when every recorded op is smooth at its input.
     """
     closest = np.inf
     for entry in tape.entries:
@@ -49,10 +49,6 @@ def nonsmooth_margin(tape: Tape) -> float:
             closest = min(closest, _top_two_gap(x, entry.meta["axis"]))
         elif entry.op == "log":
             closest = min(closest, float(np.abs(x - LOG_FLOOR).min()))
-        elif entry.op == "clamp":
-            for bound in (entry.meta["lo"], entry.meta["hi"]):
-                if bound is not None:
-                    closest = min(closest, float(np.abs(x - bound).min()))
     return closest
 
 

@@ -83,7 +83,7 @@ def _row(left_azimuth: float, midline: np.ndarray, names_left_to_mid: list[str])
     return out
 
 
-def _mirror(name: str, pos: np.ndarray) -> np.ndarray:
+def _mirror(pos: np.ndarray) -> np.ndarray:
     flipped = pos.copy()
     flipped[0] = -flipped[0]
     return flipped
@@ -139,7 +139,7 @@ def build_62_channel_layout(radius: float = HEAD_RADIUS) -> ElectrodeLayout:
         "AF3": "AF4",
     }
     for left, right in mirrors.items():
-        pos[right] = _mirror(left, pos[left])
+        pos[right] = _mirror(pos[left])
 
     # Cerebellar electrodes sit below and lateral to O1/O2.
     pos["CB1"] = _unit(84.0, -150.0)

@@ -6,8 +6,8 @@ column projection turns those embeddings into per-node attention scores.
 Pooling keeps the ceil(k*N) best-scoring nodes, scales their features by
 their scores (that product is what trains the attention weights), and the
 readout concatenates column means and maxima into a fixed-size embedding
-consumed by both heads. Everything here accepts an extra leading batch
-dimension.
+consumed by both heads. The network runs on batches of (N, F) node-feature
+matrices; a single sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -148,14 +148,19 @@ class PoolResult:
     """Retained nodes after pooling.
 
     ``x_out`` rows are the kept feature rows scaled by their scores;
-    ``a_out`` is the induced principal submatrix of the adjacency;
-    ``index`` the kept node indices, ascending.
+    ``adjacency`` is the graph the pool was given; ``index`` the kept node
+    indices, ascending.
     """
 
     x_out: Tensor
-    a_out: np.ndarray
+    adjacency: np.ndarray
     index: np.ndarray
     score_mask: Tensor
+
+    @property
+    def a_out(self) -> np.ndarray:
+        """The induced principal submatrix of the adjacency on the kept nodes."""
+        return self.adjacency[self.index[..., :, None], self.index[..., None, :]]
 
 
 def sag_pool(
@@ -181,9 +186,7 @@ def sag_pool(
         index = top_rank(scores.data, k)
     x_kept = ops.gather_rows(x, index)
     score_mask = ops.gather_rows(scores, index)
-    x_out = ops.mul(x_kept, score_mask)
-    a_out = adjacency[index[..., :, None], index[..., None, :]]
-    return PoolResult(x_out, a_out, index, score_mask)
+    return PoolResult(ops.mul(x_kept, score_mask), adjacency, index, score_mask)
 
 
 def readout(x: Tensor) -> Tensor:
@@ -203,7 +206,7 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
     def backward(g):
         return (-lam * g,)
 
-    return record_op("grad_reverse", (x,), x.data.copy(), backward, meta={"lam": lam})
+    return record_op("grad_reverse", (x,), x.data.copy(), backward)
 
 
 def _feed_forward(x: Tensor, layers: list[Tensor]) -> Tensor:
@@ -227,40 +230,22 @@ def forward_batch(
     pool_index: np.ndarray | None = None,
     domain_head: bool = True,
 ):
-    """Run the network on (..., N, F) features.
+    """Run the network on (..., B, N, F) features; a single sample is a batch of one.
 
-    Returns (emotion probabilities, domain probabilities or None, PoolResult).
-    The domain head can be skipped entirely for ablations and evaluation.
-    A single (N, F) sample yields (C,) and (2,) probability vectors.
+    Returns (emotion probabilities (..., B, C), domain probabilities
+    (..., B, 2) or None, PoolResult). The domain head can be skipped entirely
+    for ablations and evaluation.
     """
+    if x.ndim < 3:
+        raise DimensionError(f"expected (..., B, N, F) features, got {x.shape}")
     h = x
     for w in params.gcn_weights:
         h = gcn_layer(laplacian, h, w)
     scores = attention_scores(laplacian, h, params.w_att)
     pool = sag_pool(h, adjacency, scores, k, index=pool_index)
     embedding = readout(pool.x_out)
-    single = embedding.ndim == 1  # heads need a row axis
-    rows = ops.reshape(embedding, (1, embedding.shape[-1])) if single else embedding
-    emotion = ops.softmax_rows(_feed_forward(rows, params.emotion))
+    emotion = ops.softmax_rows(_feed_forward(embedding, params.emotion))
     domain = None
     if domain_head:
-        domain = ops.softmax_rows(_feed_forward(grad_reverse(rows, lam), params.domain))
-    if single:
-        emotion = ops.reshape(emotion, (params.n_classes,))
-        if domain is not None:
-            domain = ops.reshape(domain, (2,))
+        domain = ops.softmax_rows(_feed_forward(grad_reverse(embedding, lam), params.domain))
     return emotion, domain, pool
-
-
-def forward(
-    params: ModelParams,
-    x: Tensor,
-    laplacian: Tensor,
-    adjacency: np.ndarray,
-    k: float,
-    lam: float = 1.0,
-):
-    """Single-sample forward: (N, F) features to (C,) and (2,) probabilities."""
-    if x.ndim != 2:
-        raise DimensionError(f"expected a single (N, F) sample, got {x.shape}")
-    return forward_batch(params, x, laplacian, adjacency, k, lam)

@@ -67,15 +67,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op("add", (a, b), a.data + b.data, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcastable(a, b, "sub")
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return record_op("sub", (a, b), a.data - b.data, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_broadcastable(a, b, "mul")
 
@@ -106,15 +97,6 @@ def tanh(x: Tensor) -> Tensor:
     return record_op("tanh", (x,), y, backward)
 
 
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def backward(g):
-        return (g * y,)
-
-    return record_op("exp", (x,), y, backward)
-
-
 def log(x: Tensor) -> Tensor:
     """Natural log of ``max(x, LOG_FLOOR)``; flat (zero gradient) below the floor."""
     clamped = np.maximum(x.data, LOG_FLOOR)
@@ -124,22 +106,6 @@ def log(x: Tensor) -> Tensor:
         return (np.where(inside, g / clamped, 0.0),)
 
     return record_op("log", (x,), np.log(clamped), backward)
-
-
-def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
-    if lo is not None and hi is not None and lo > hi:
-        raise ContractError(f"clamp: lo={lo} exceeds hi={hi}")
-    y = np.clip(x.data, lo, hi)
-    passthrough = np.ones(x.shape, dtype=bool)
-    if lo is not None:
-        passthrough &= x.data > lo
-    if hi is not None:
-        passthrough &= x.data < hi
-
-    def backward(g):
-        return (g * passthrough,)
-
-    return record_op("clamp", (x,), y, backward, meta={"lo": lo, "hi": hi})
 
 
 def _check_reduce_axis(x: Tensor, axis: int | None) -> int | None:
@@ -243,8 +209,8 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Select rows along the second-to-last axis.
 
     ``index`` has shape ``x.shape[:-2] + (M,)`` with integer entries in
-    ``[0, N)``; the output is ``x.shape[:-2] + (M, F)``. The backward pass
-    scatter-adds, so repeated indices accumulate.
+    ``[0, N)``, else ContractError; the output is ``x.shape[:-2] + (M, F)``.
+    The backward pass scatter-adds, so repeated indices accumulate.
     """
     if x.ndim < 2:
         raise DimensionError(f"gather_rows needs rank >= 2 input, got {x.shape}")
@@ -253,8 +219,12 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
         raise DimensionError(
             f"gather_rows: index shape {index.shape} does not match input {x.shape}"
         )
-    out = np.take_along_axis(x.data, index[..., None], axis=-2)
     n_rows, n_cols = x.shape[-2], x.shape[-1]
+    if index.size and not (0 <= index.min() and index.max() < n_rows):
+        raise ContractError(
+            f"gather_rows: indices must lie in [0, {n_rows}), got [{index.min()}, {index.max()}]"
+        )
+    out = np.take_along_axis(x.data, index[..., None], axis=-2)
     batch = int(np.prod(x.shape[:-2], dtype=np.intp)) if x.ndim > 2 else 1
 
     def backward(g):

@@ -67,61 +67,9 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        """A constant copy that shares no gradient history."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Convenience arithmetic; the real work lives in ops.py.
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, _lift(other))
-
-    def __radd__(self, other):
-        from . import ops
-
-        return ops.add(_lift(other), self)
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.sub(_lift(other), self)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        from . import ops
-
-        return ops.mul(_lift(other), self)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, _lift(other))
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 class TapeEntry(NamedTuple):
@@ -130,7 +78,7 @@ class TapeEntry(NamedTuple):
     output: Tensor
     # Maps the upstream gradient to per-input contributions (None = no flow).
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
-    # Op-specific details (reduce axis, clamp bounds) for tape introspection.
+    # Op-specific details (the reduce axis) for tape introspection.
     meta: dict | None
 
 

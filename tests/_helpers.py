@@ -13,7 +13,7 @@ TINY_DOMAIN_HIDDEN = (4,)
 
 
 def tiny_setup(seed, n_nodes=4, n_features=3, n_classes=2):
-    """A small random instance: params, node features, adjacency, laplacian."""
+    """A small random instance: params, a batch of one (1, N, F), adjacency, laplacian."""
     rng = np.random.default_rng(seed)
     params = init_params(
         n_features,
@@ -23,7 +23,7 @@ def tiny_setup(seed, n_nodes=4, n_features=3, n_classes=2):
         emotion_hidden=TINY_EMOTION_HIDDEN,
         domain_hidden=TINY_DOMAIN_HIDDEN,
     )
-    x = Tensor(rng.standard_normal((n_nodes, n_features)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, n_nodes, n_features)), requires_grad=True)
     raw = rng.uniform(0.1, 1.0, (n_nodes, n_nodes))
     adjacency = np.triu(raw, 1)
     adjacency = adjacency + adjacency.T
@@ -107,10 +107,8 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
         emo, dom, _ = forward_batch(
             params, x, laplacian, adjacency, k, lam_value, pool_index=frozen
         )
-        rows_e = ops.reshape(emo, (1, params.n_classes))
-        rows_d = ops.reshape(dom, (1, 2))
-        ly = ops.reduce_sum(ops.mul(rows_e, mix_emotion))
-        ld = ops.reduce_sum(ops.mul(rows_d, mix_domain))
+        ly = ops.reduce_sum(ops.mul(emo, mix_emotion))
+        ld = ops.reduce_sum(ops.mul(dom, mix_domain))
         return ly, ld
 
     tensors = [x, *params.all_params()]

@@ -194,3 +194,17 @@ def test_prepare_recording_downsamples_and_band_limits():
     # DC offset is outside the 1-75 Hz limit; the 10 Hz carrier survives.
     assert abs(out.samples.mean()) < 1e-9
     assert out.samples.std() == pytest.approx(np.sqrt(0.5), rel=0.02)
+
+
+@pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+def test_recording_rejects_bad_rate(rate):
+    with pytest.raises(DataError):
+        Recording(np.zeros((2, 400)), rate, "s", 0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_recording_rejects_non_finite_samples(bad):
+    samples = np.zeros((2, 400))
+    samples[1, 17] = bad
+    with pytest.raises(DataError):
+        Recording(samples, 200.0, "s", 0, 0)

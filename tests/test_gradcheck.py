@@ -74,12 +74,10 @@ def _op_cases(rng):
         ("batched-matmul", lambda: grad_check(
             lambda x_, w_: ops.reduce_sum(ops.matmul(x_, w_)), [batched, w])),
         ("add", lambda: grad_check(lambda a_, c_: ops.reduce_sum(ops.add(a_, c_)), [a, c])),
-        ("sub", lambda: grad_check(lambda a_, c_: ops.reduce_sum(ops.sub(a_, c_)), [a, c])),
         ("mul-broadcast", lambda: grad_check(
             lambda a_, col_: ops.reduce_sum(ops.mul(a_, col_)), [a, col])),
         ("relu", lambda: grad_check(lambda p_: ops.reduce_sum(ops.relu(p_)), [pos])),
         ("tanh", lambda: grad_check(lambda a_: ops.reduce_sum(ops.tanh(a_)), [a])),
-        ("exp", lambda: grad_check(lambda a_: ops.reduce_sum(ops.exp(a_)), [a])),
         ("log", lambda: grad_check(lambda p_: ops.reduce_sum(ops.log(p_)), [posonly])),
         ("sum-axis", lambda: grad_check(
             lambda a_: ops.reduce_sum(ops.tanh(ops.reduce_sum(a_, axis=0))), [a])),

@@ -12,7 +12,6 @@ from dagam.graph import renormalized_laplacian
 from dagam.model import (
     ModelParams,
     attention_scores,
-    forward,
     forward_batch,
     gcn_layer,
     grad_reverse,
@@ -138,6 +137,16 @@ class TestSagPool:
         np.testing.assert_allclose(pool.x_out.data[1], 0.7 * x.data[3])
         np.testing.assert_array_equal(pool.a_out, a[np.ix_([0, 3], [0, 3])])
 
+    def test_batched_a_out_is_each_rows_submatrix(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((3, 5, 2)))
+        a = rng.uniform(0, 1, (5, 5))
+        a = (a + a.T) / 2
+        pool = sag_pool(x, a, Tensor(rng.standard_normal((3, 5, 1))), 0.6)
+        assert pool.a_out.shape == (3, 3, 3)
+        for b in range(3):
+            np.testing.assert_array_equal(pool.a_out[b], a[np.ix_(pool.index[b], pool.index[b])])
+
     def test_gradient_reaches_attention_weights(self):
         params, x, adjacency, laplacian = tiny_setup(3)
         with Tape() as tape:
@@ -220,34 +229,39 @@ class TestGradReverse:
 class TestForward:
     def test_probabilities_sum_to_one(self):
         params, x, adjacency, laplacian = tiny_setup(0)
-        emotion, domain, _ = forward(params, x, laplacian, adjacency, 0.5)
-        assert emotion.shape == (2,) and domain.shape == (2,)
+        emotion, domain, _ = forward_batch(params, x, laplacian, adjacency, 0.5)
+        assert emotion.shape == (1, 2) and domain.shape == (1, 2)
         assert abs(emotion.data.sum() - 1.0) < 1e-9
         assert abs(domain.data.sum() - 1.0) < 1e-9
+
+    def test_unbatched_sample_rejected(self):
+        params, x, adjacency, laplacian = tiny_setup(0)
+        with pytest.raises(DimensionError):
+            forward_batch(params, Tensor(x.data[0]), laplacian, adjacency, 0.5)
 
     def test_zeroed_final_emotion_layer_gives_uniform(self):
         params, x, adjacency, laplacian = tiny_setup(1)
         params.emotion[-2].data[:] = 0.0
         params.emotion[-1].data[:] = 0.0
-        emotion, _, _ = forward(params, x, laplacian, adjacency, 0.5)
-        np.testing.assert_allclose(emotion.data, [0.5, 0.5])
+        emotion, _, _ = forward_batch(params, x, laplacian, adjacency, 0.5)
+        np.testing.assert_allclose(emotion.data, [[0.5, 0.5]])
 
     def test_default_ratio_keeps_31_of_62(self):
         rng = np.random.default_rng(5)
         params = init_params(5, 3, rng, gcn_hidden=(8, 8, 8), emotion_hidden=(8, 4),
                              domain_hidden=(4,))
-        x = Tensor(rng.standard_normal((62, 5)))
+        x = Tensor(rng.standard_normal((1, 62, 5)))
         raw = rng.uniform(0.1, 1.0, (62, 62))
         adjacency = np.triu(raw, 1)
         adjacency = adjacency + adjacency.T
         laplacian = Tensor(renormalized_laplacian(adjacency))
-        _, _, pool = forward(params, x, laplacian, adjacency, 0.5)
-        assert len(pool.index) == 31
+        _, _, pool = forward_batch(params, x, laplacian, adjacency, 0.5)
+        assert pool.index.shape == (1, 31)
 
     def test_deterministic_for_fixed_params(self):
         params, x, adjacency, laplacian = tiny_setup(2)
-        first = forward(params, x, laplacian, adjacency, 0.5)[0].data
-        second = forward(params, x, laplacian, adjacency, 0.5)[0].data
+        first = forward_batch(params, x, laplacian, adjacency, 0.5)[0].data
+        second = forward_batch(params, x, laplacian, adjacency, 0.5)[0].data
         np.testing.assert_array_equal(first, second)
 
     def test_batched_matches_per_sample(self):
@@ -256,26 +270,26 @@ class TestForward:
         batch = rng.standard_normal((5, 4, 3))
         emotion_b, domain_b, _ = forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
         for i in range(5):
-            emotion_i, domain_i, _ = forward(params, Tensor(batch[i]), laplacian, adjacency, 0.5)
-            np.testing.assert_allclose(emotion_b.data[i], emotion_i.data, atol=1e-12)
-            np.testing.assert_allclose(domain_b.data[i], domain_i.data, atol=1e-12)
+            emotion_i, domain_i, _ = forward_batch(
+                params, Tensor(batch[i : i + 1]), laplacian, adjacency, 0.5
+            )
+            np.testing.assert_allclose(emotion_b.data[i], emotion_i.data[0], atol=1e-12)
+            np.testing.assert_allclose(domain_b.data[i], domain_i.data[0], atol=1e-12)
 
     def test_permutation_consistency_of_probabilities(self):
         params, x, adjacency, laplacian = tiny_setup(8)
-        emotion, _, _ = forward(params, x, laplacian, adjacency, 0.5)
+        emotion, _, _ = forward_batch(params, x, laplacian, adjacency, 0.5)
         perm = np.random.default_rng(9).permutation(4)
         p = np.eye(4)[perm]
-        x_p = Tensor(x.data[perm])
+        x_p = Tensor(x.data[:, perm])
         lap_p = Tensor(p @ laplacian.data @ p.T)
         adj_p = p @ adjacency @ p.T
-        emotion_p, _, _ = forward(params, x_p, lap_p, adj_p, 0.5)
+        emotion_p, _, _ = forward_batch(params, x_p, lap_p, adj_p, 0.5)
         np.testing.assert_allclose(emotion_p.data, emotion.data, atol=1e-12)
 
     def test_domain_head_optional(self):
         params, x, adjacency, laplacian = tiny_setup(10)
-        emotion, domain, _ = forward_batch(
-            params, Tensor(x.data[None]), laplacian, adjacency, 0.5, domain_head=False
-        )
+        emotion, domain, _ = forward_batch(params, x, laplacian, adjacency, 0.5, domain_head=False)
         assert domain is None
         assert emotion.shape == (1, 2)
 
