@@ -51,8 +51,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
     return record_op("matmul", (a, b), out, backward)
@@ -77,12 +77,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); a NaN input stays NaN."""
     mask = x.data > 0
 
     def backward(g):
         return (g * mask,)
 
-    return record_op("relu", (x,), np.where(mask, x.data, 0.0), backward)
+    return record_op("relu", (x,), np.maximum(x.data, 0.0), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -154,9 +155,9 @@ def reduce_max(x: Tensor, axis: int | None = None) -> Tensor:
     def backward(g):
         grad = np.zeros_like(x.data)
         if axis is None:
-            grad.flat[np.argmax(x.data)] = g
+            grad.flat[np.argmax(x.data == out)] = g
         else:
-            first = np.expand_dims(np.argmax(x.data, axis=axis), axis)
+            first = np.expand_dims(np.argmax(x.data == np.expand_dims(out, axis), axis=axis), axis)
             np.put_along_axis(grad, first, np.expand_dims(g, axis), axis=axis)
         return (grad,)
 
@@ -210,7 +211,9 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
 
     ``index`` has shape ``x.shape[:-2] + (M,)`` with integer entries in
     ``[0, N)``, else ContractError; the output is ``x.shape[:-2] + (M, F)``.
-    The backward pass scatter-adds, so repeated indices accumulate.
+    The backward pass scatter-adds with one ``np.bincount`` over flat
+    element indices, so repeated indices accumulate and a non-finite
+    upstream value reaches only the row it was gathered from.
     """
     if x.ndim < 2:
         raise DimensionError(f"gather_rows needs rank >= 2 input, got {x.shape}")
@@ -228,9 +231,9 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     batch = int(np.prod(x.shape[:-2], dtype=np.intp)) if x.ndim > 2 else 1
 
     def backward(g):
-        grad = np.zeros((batch, n_rows, n_cols))
-        flat_idx = index.reshape(batch, -1)
-        np.add.at(grad, (np.arange(batch)[:, None], flat_idx), g.reshape(batch, -1, n_cols))
+        rows = index.reshape(batch, -1) + n_rows * np.arange(batch)[:, None]
+        flat = (rows[..., None] * n_cols + np.arange(n_cols)).ravel()
+        grad = np.bincount(flat, weights=g.ravel(), minlength=batch * n_rows * n_cols)
         return (grad.reshape(x.shape),)
 
     return record_op("gather_rows", (x,), out, backward)

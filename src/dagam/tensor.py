@@ -76,7 +76,10 @@ class TapeEntry(NamedTuple):
     op: str
     inputs: tuple[Tensor, ...]
     output: Tensor
-    # Maps the upstream gradient to per-input contributions (None = no flow).
+    # Maps the upstream gradient to per-input contributions. A contribution
+    # is None for an input without requires_grad (nothing reads it), and is
+    # otherwise a fresh array or a view, never an array the closure keeps or
+    # that is some tensor's data: ``backward`` may adopt it as a grad buffer.
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
     # Op-specific details (the reduce axis) for tape introspection.
     meta: dict | None
@@ -127,7 +130,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` buffers for every requires-grad tensor feeding ``loss``.
 
     Gradients accumulate: calling backward again without clearing grads adds
-    a second, independent pass' contributions on top of the first.
+    a second, independent pass' contributions on top of the first. A tensor
+    without a buffer adopts its summed contribution as ``grad`` when that is
+    a fresh writeable array no other tensor adopted in this pass; views and
+    shared arrays are copied, so no two buffers alias.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -147,7 +153,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
             held = flowing.get(key)
             flowing[key] = contrib if held is None else held + contrib
             touched[key] = tensor
+    adopted: set[int] = set()
     for key, tensor in touched.items():
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
-        tensor.grad += flowing[key]
+        total = flowing[key]
+        if tensor.grad is not None:
+            tensor.grad += total
+        elif total.base is None and total.flags.writeable and id(total) not in adopted:
+            tensor.grad = total
+            adopted.add(id(total))
+        else:
+            tensor.grad = np.array(total)

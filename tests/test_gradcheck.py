@@ -69,10 +69,13 @@ def _op_cases(rng):
     mix = Tensor(rng.standard_normal((2, 5)))
     batched = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    lap = Tensor(rng.standard_normal((3, 3)))
     return [
         ("matmul", lambda: grad_check(lambda a_, b_: ops.reduce_sum(ops.matmul(a_, b_)), [a, b])),
         ("batched-matmul", lambda: grad_check(
             lambda x_, w_: ops.reduce_sum(ops.matmul(x_, w_)), [batched, w])),
+        ("matmul-const-left", lambda: grad_check(
+            lambda x_: ops.reduce_sum(ops.tanh(ops.matmul(lap, x_))), [batched])),
         ("add", lambda: grad_check(lambda a_, c_: ops.reduce_sum(ops.add(a_, c_)), [a, c])),
         ("mul-broadcast", lambda: grad_check(
             lambda a_, col_: ops.reduce_sum(ops.mul(a_, col_)), [a, col])),
@@ -89,6 +92,8 @@ def _op_cases(rng):
             lambda l_: ops.reduce_sum(ops.mul(ops.softmax_rows(l_), mix)), [logits])),
         ("gather", lambda: grad_check(
             lambda a_: ops.reduce_sum(ops.gather_rows(a_, np.array([0, 2]))), [a])),
+        ("gather-repeat", lambda: grad_check(
+            lambda a_: ops.reduce_sum(ops.tanh(ops.gather_rows(a_, np.array([1, 1, 2])))), [a])),
         ("concat", lambda: grad_check(
             lambda a_, c_: ops.reduce_sum(ops.tanh(ops.concat([a_, c_], axis=1))), [a, c])),
     ]

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from dagam import Tape, Tensor, backward
 from dagam import ops
 from dagam.errors import ContractError, DegenerateInputError, DimensionError
+from dagam.model import forward_batch
+
+from _helpers import tiny_setup
 
 
 def run_backward(build):
@@ -56,6 +59,16 @@ class TestMatmul:
         expected = sum(x.data[i].T @ np.ones((3, 5)) for i in range(4))
         np.testing.assert_allclose(w.grad, expected, atol=1e-12)
 
+    def test_constant_operand_gets_no_gradient(self):
+        lap = Tensor(np.arange(9.0).reshape(3, 3))
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            out = ops.matmul(lap, x)
+        (entry,) = tape.entries
+        g_lap, g_x = entry.backward(np.ones(out.shape))
+        assert g_lap is None
+        np.testing.assert_array_equal(g_x, np.broadcast_to(lap.data.sum(axis=0)[:, None], x.shape))
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             ops.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
@@ -63,7 +76,8 @@ class TestMatmul:
 
 class TestElementwise:
     def test_relu(self):
-        np.testing.assert_array_equal(ops.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+        out = ops.relu(Tensor([-1.0, 0.0, 2.0, np.nan])).data
+        np.testing.assert_array_equal(out, [0.0, 0.0, 2.0, np.nan])
 
     def test_tanh_is_odd_at_zero(self):
         assert ops.tanh(Tensor(0.0)).item() == 0.0
@@ -191,6 +205,46 @@ class TestBackward:
         assert x.grad is not None
 
 
+class TestGradBuffers:
+    @staticmethod
+    def assert_no_aliasing(tensors):
+        grads = [t.grad for t in tensors if t.grad is not None]
+        assert grads
+        for i, grad in enumerate(grads):
+            assert grad.flags.writeable
+            for other in grads[i + 1 :]:
+                assert not np.shares_memory(grad, other)
+            for t in tensors:
+                assert not np.shares_memory(grad, t.data)
+
+    def test_same_shape_add_gives_each_input_its_own_buffer(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            total = ops.add(a, b)
+            loss = ops.reduce_sum(ops.mul(total, total))
+        backward(loss, tape)
+        np.testing.assert_array_equal(a.grad, [8.0, 12.0])
+        np.testing.assert_array_equal(b.grad, [8.0, 12.0])
+        self.assert_no_aliasing([a, b, total, loss])
+
+    def test_no_buffer_of_a_model_pass_aliases_another(self):
+        params, x, adjacency, laplacian = tiny_setup(3)
+        with Tape() as tape:
+            emotion, domain, _ = forward_batch(params, x, laplacian, adjacency, 0.5)
+            loss = ops.add(
+                ops.reduce_sum(ops.log(emotion)), ops.reduce_sum(ops.log(domain))
+            )
+        backward(loss, tape)
+        tensors = {}
+        for entry in tape.entries:
+            for t in (*entry.inputs, entry.output):
+                tensors[id(t)] = t
+        tensors = list(tensors.values())
+        assert all(t.grad is not None for t in tensors if t.requires_grad)
+        self.assert_no_aliasing(tensors)
+
+
 class TestGatherConcat:
     def test_gather_selects_rows(self):
         x = Tensor(np.arange(12.0).reshape(4, 3))
@@ -223,6 +277,29 @@ class TestGatherConcat:
         expected[0, [0, 1]] = 1.0
         expected[1, [2, 3]] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
+
+    def test_batched_gather_with_repeats_accumulates(self):
+        x = Tensor(np.arange(24.0).reshape(2, 4, 3), requires_grad=True)
+        run_backward(lambda: ops.reduce_sum(ops.gather_rows(x, np.array([[1, 1, 3], [0, 2, 2]]))))
+        expected = np.zeros((2, 4, 3))
+        expected[0, 1] = 2.0
+        expected[0, 3] = 1.0
+        expected[1, 0] = 1.0
+        expected[1, 2] = 2.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_gather_keeps_non_finite_upstream_in_its_row(self, bad):
+        x = Tensor(np.zeros((2, 4, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = ops.gather_rows(x, np.array([[1, 1, 3], [0, 2, 2]]))
+        upstream = np.ones(out.shape)
+        upstream[0, 0, 1] = bad
+        (grad,) = tape.entries[0].backward(upstream)
+        np.testing.assert_array_equal(grad[0, 1, 1], bad)
+        np.testing.assert_array_equal(grad[0, [0, 2]], 0.0)
+        np.testing.assert_array_equal(grad[1, [1, 3]], 0.0)
+        np.testing.assert_array_equal(grad[0, 3], 1.0)
 
     def test_concat_splits_gradient(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
