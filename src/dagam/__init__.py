@@ -17,7 +17,6 @@ from .errors import (
     GradCheckError,
     GraphError,
     LayoutError,
-    LoadError,
     TrainingDivergenceError,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "GradCheckError",
     "GraphError",
     "LayoutError",
-    "LoadError",
     "TrainingDivergenceError",
     "__version__",
 ]

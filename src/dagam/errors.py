@@ -38,10 +38,6 @@ class DataError(DagamError):
     """Dataset contents violate an invariant (bad labels, empty subject)."""
 
 
-class LoadError(DagamError):
-    """A dataset or checkpoint file is missing, truncated, or unparseable."""
-
-
 class TrainingDivergenceError(DagamError):
     """Training produced a non-finite loss."""
 

@@ -15,10 +15,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
 
-# Default analysis bands in Hz: delta, theta, alpha, beta, gamma.
+# Standard analysis bands in Hz: delta, theta, alpha, beta, gamma.
 DEFAULT_BANDS = ((1.0, 4.0), (4.0, 8.0), (8.0, 14.0), (14.0, 31.0), (31.0, 50.0))
 
-DEFAULT_WINDOW_SECONDS = 1.0
+# Rate in Hz every recording is brought to before feature extraction, and the
+# wide band limit in Hz applied there (SEED and SEED-IV preprocessing).
+WORKING_RATE = 200.0
+LIMIT_BAND = (1.0, 75.0)
 
 # Sample-variance floor; keeps DE finite on constant windows.
 VARIANCE_FLOOR = 1e-8
@@ -62,19 +65,18 @@ class FeatureSample:
 
 
 def downsample(rec: Recording, target: float) -> Recording:
-    """Integer-factor decimation after zeroing content above the new Nyquist."""
+    """Integer-factor decimation after zeroing content at and above the new Nyquist."""
+    if not 0 < target < np.inf:
+        raise ConfigError(f"target rate must be positive and finite, got {target}")
     ratio = rec.rate / target
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
         raise ConfigError(f"rate {rec.rate} is not an integer multiple of target {target}")
     if factor == 1:
         return Recording(rec.samples.copy(), target, rec.subject, rec.trial, rec.label)
-    n = rec.n_samples
-    spectrum = np.fft.rfft(rec.samples, axis=-1)
-    freqs = np.fft.rfftfreq(n, d=1.0 / rec.rate)
-    spectrum[..., freqs >= target / 2.0] = 0.0
-    filtered = np.fft.irfft(spectrum, n=n, axis=-1)
-    out_len = int(n * target // rec.rate)
+    # The new Nyquist bin itself aliases, so the kept band stops just below it.
+    filtered = band_isolate(rec.samples, 0.0, np.nextafter(target / 2.0, 0.0), rec.rate)
+    out_len = int(rec.n_samples * target // rec.rate)
     decimated = filtered[..., ::factor][..., :out_len]
     return Recording(decimated, target, rec.subject, rec.trial, rec.label)
 
@@ -86,9 +88,9 @@ def band_isolate(signal: np.ndarray, lo: float, hi: float, rate: float) -> np.nd
     one call. Idempotent: reapplying the same band is a no-op up to
     round-trip rounding.
     """
-    if lo < 0 or lo >= hi:
+    if not 0 <= lo < hi:
         raise ConfigError(f"band [{lo}, {hi}] is not a valid frequency range")
-    if hi > rate / 2.0:
+    if not hi <= rate / 2.0:
         raise ConfigError(f"band edge {hi} Hz exceeds the Nyquist frequency {rate / 2.0} Hz")
     signal = np.asarray(signal, dtype=np.float64)
     n = signal.shape[-1]
@@ -116,17 +118,15 @@ def differential_entropy(window: np.ndarray) -> float:
     return float(_gaussian_entropy(window.var(ddof=1)))
 
 
-def extract_features(
-    rec: Recording,
-    bands=DEFAULT_BANDS,
-    window_s: float = DEFAULT_WINDOW_SECONDS,
-) -> list[FeatureSample]:
+def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSample]:
     """Per-window node-feature matrices of shape (channels, len(bands)).
 
     Each non-overlapping window is band-isolated and reduced to its
     differential entropy, channel by channel. The recording must already be
     at the working rate.
     """
+    if not 0 < window_s < np.inf:
+        raise ConfigError(f"window length must be positive and finite, got {window_s} s")
     width = int(round(window_s * rec.rate))
     if width < 2:
         raise ConfigError(f"window of {window_s} s at {rec.rate} Hz has {width} samples; need >= 2")
@@ -149,12 +149,8 @@ def extract_features(
     return samples
 
 
-def prepare_recording(
-    rec: Recording,
-    working_rate: float = 200.0,
-    limit_band: tuple[float, float] = (1.0, 75.0),
-) -> Recording:
-    """Downsample to the working rate, then apply the wide band limit."""
-    out = downsample(rec, working_rate) if rec.rate != working_rate else rec
-    limited = band_isolate(out.samples, limit_band[0], limit_band[1], working_rate)
-    return Recording(limited, working_rate, rec.subject, rec.trial, rec.label)
+def prepare_recording(rec: Recording) -> Recording:
+    """Downsample to WORKING_RATE, then keep only LIMIT_BAND."""
+    out = downsample(rec, WORKING_RATE) if rec.rate != WORKING_RATE else rec
+    limited = band_isolate(out.samples, *LIMIT_BAND, WORKING_RATE)
+    return Recording(limited, WORKING_RATE, rec.subject, rec.trial, rec.label)

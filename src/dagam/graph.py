@@ -9,8 +9,7 @@ over absolute values, so negative global edges cannot zero out a row.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,61 +46,17 @@ class ElectrodeLayout:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise LayoutError(f"unknown channel name {name!r}") from None
-
-    def subset(self, n: int) -> "ElectrodeLayout":
-        """The first ``n`` channels, preserving order."""
-        if not 1 <= n <= len(self):
-            raise ConfigError(f"cannot take {n} channels from a {len(self)}-channel layout")
-        return ElectrodeLayout(self.names[:n], self.positions[:n])
-
-    @classmethod
-    def from_csv(cls, path) -> "ElectrodeLayout":
-        names: list[str] = []
-        rows: list[list[float]] = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["name", "x", "y", "z"]:
-                raise LayoutError(f"{path}: expected header 'name,x,y,z', got {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise LayoutError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-                names.append(row[0].strip())
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise LayoutError(f"{path}:{lineno}: {exc}") from None
-        if not names:
-            raise LayoutError(f"{path}: no channels")
-        return cls(tuple(names), np.array(rows))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "x", "y", "z"])
-            for name, pos in zip(self.names, self.positions):
-                writer.writerow([name, f"{pos[0]:.17g}", f"{pos[1]:.17g}", f"{pos[2]:.17g}"])
-
 
 @dataclass(frozen=True)
 class Adjacency:
     """Symmetric channel-graph weights with a zero diagonal.
 
     Distance-derived entries lie in (0, 1]; global-connection entries in
-    [-1, 0]. ``global_pairs`` records which (i, j, weight) entries were
-    overwritten.
+    [-1, 0].
     """
 
     matrix: np.ndarray
     names: tuple[str, ...]
-    global_pairs: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
 
     @property
     def n(self) -> int:
@@ -115,8 +70,8 @@ def pairwise_distances(layout: ElectrodeLayout) -> np.ndarray:
 
 def build_adjacency(layout: ElectrodeLayout, sigma: float) -> Adjacency:
     """Distance-derived adjacency A_ij = min(1, sigma / d_ij^2), zero diagonal."""
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
     d = pairwise_distances(layout)
     n = len(layout)
     off = ~np.eye(n, dtype=bool)
@@ -141,7 +96,6 @@ def apply_global_connections(
     if not -1.0 <= weight <= 0.0:
         raise ConfigError(f"global-connection weight must lie in [-1, 0], got {weight}")
     matrix = adj.matrix.copy()
-    recorded = list(adj.global_pairs)
     for left, right in pairs:
         try:
             i = adj.names.index(left)
@@ -152,8 +106,7 @@ def apply_global_connections(
             raise LayoutError(f"global pair names the same channel twice: {left!r}")
         matrix[i, j] = weight
         matrix[j, i] = weight
-        recorded.append((i, j, weight))
-    return Adjacency(matrix, adj.names, tuple(recorded))
+    return Adjacency(matrix, adj.names)
 
 
 def renormalized_laplacian(adj) -> np.ndarray:

@@ -22,8 +22,7 @@ from .graph import ElectrodeLayout
 # Head radius in head units; see module docstring.
 HEAD_RADIUS = 3.4
 
-# Channel order used by 62-channel ESI caps; files written by this package
-# list channels in exactly this order.
+# Channel order used by 62-channel ESI caps.
 CHANNELS_62 = (
     "FP1", "FPZ", "FP2",
     "AF3", "AF4",
@@ -37,7 +36,7 @@ CHANNELS_62 = (
 )
 
 # Symmetric left/right frontal and temporal pairs given negative
-# "global connection" weights by default; fully overridable in config.
+# "global connection" weights by default; apply_global_connections takes any pairs.
 DEFAULT_GLOBAL_PAIRS = (
     ("FP1", "FP2"),
     ("F7", "F8"),
@@ -89,7 +88,7 @@ def _mirror(pos: np.ndarray) -> np.ndarray:
     return flipped
 
 
-def build_62_channel_layout(radius: float = HEAD_RADIUS) -> ElectrodeLayout:
+def build_62_channel_layout() -> ElectrodeLayout:
     pos: dict[str, np.ndarray] = {}
 
     # Outer ring and midline.
@@ -145,5 +144,5 @@ def build_62_channel_layout(radius: float = HEAD_RADIUS) -> ElectrodeLayout:
     pos["CB1"] = _unit(84.0, -150.0)
     pos["CB2"] = _unit(84.0, 150.0)
 
-    coords = np.stack([pos[name] for name in CHANNELS_62]) * radius
+    coords = np.stack([pos[name] for name in CHANNELS_62]) * HEAD_RADIUS
     return ElectrodeLayout(CHANNELS_62, coords)

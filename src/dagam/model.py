@@ -128,16 +128,13 @@ def attention_scores(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
 
 
 def top_rank(scores: np.ndarray, k: float) -> np.ndarray:
-    """Ascending indices of the ceil(k*N) largest scores.
+    """Ascending indices of the ceil(k*N) largest scores along the last axis.
 
-    Ties break toward the lower original index. Accepts (..., N) or
-    (..., N, 1) score arrays; the output has shape (..., M).
+    ``scores`` has shape (..., N): the trailing axis is the node axis, and
+    the output has shape (..., M). Ties break toward the lower original index.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim >= 2 and s.shape[-1] == 1:
-        s = s[..., 0]
-    n = s.shape[-1]
-    count = retained_count(k, n)
+    count = retained_count(k, s.shape[-1])
     # Stable argsort of the negated scores keeps lower indices first on ties.
     order = np.argsort(-s, axis=-1, kind="stable")[..., :count]
     return np.sort(order, axis=-1)
@@ -155,7 +152,6 @@ class PoolResult:
     x_out: Tensor
     adjacency: np.ndarray
     index: np.ndarray
-    score_mask: Tensor
 
     @property
     def a_out(self) -> np.ndarray:
@@ -176,17 +172,16 @@ def sag_pool(
     while gradient-checking, since the selection itself is piecewise
     constant). Gradients flow through the score multiplication.
     """
-    if scores.shape[:-1] != x.shape[:-1]:
-        raise DimensionError(f"scores {scores.shape} do not match features {x.shape}")
+    if scores.shape != x.shape[:-1] + (1,):
+        raise DimensionError(f"scores {scores.shape} must have shape {x.shape[:-1] + (1,)}")
     adjacency = np.asarray(adjacency, dtype=np.float64)
     n = x.shape[-2]
     if adjacency.shape != (n, n):
         raise DimensionError(f"adjacency {adjacency.shape} does not match {n} nodes")
     if index is None:
-        index = top_rank(scores.data, k)
+        index = top_rank(scores.data[..., 0], k)
     x_kept = ops.gather_rows(x, index)
-    score_mask = ops.gather_rows(scores, index)
-    return PoolResult(ops.mul(x_kept, score_mask), adjacency, index, score_mask)
+    return PoolResult(ops.mul(x_kept, ops.gather_rows(scores, index)), adjacency, index)
 
 
 def readout(x: Tensor) -> Tensor:
@@ -200,8 +195,8 @@ def readout(x: Tensor) -> Tensor:
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward multiplies the upstream gradient by -lam."""
-    if lam < 0:
-        raise ConfigError(f"reversal strength must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ConfigError(f"reversal strength must be >= 0 and finite, got {lam}")
 
     def backward(g):
         return (-lam * g,)

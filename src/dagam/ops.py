@@ -147,18 +147,17 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     return record_op("mean", (x,), out, backward)
 
 
-def reduce_max(x: Tensor, axis: int | None = None) -> Tensor:
-    """Max reduction; the gradient routes to the first maximal element."""
+def reduce_max(x: Tensor, axis: int) -> Tensor:
+    """Max reduction along integer ``axis``; the gradient goes to the first maximal element."""
+    if axis is None:
+        raise DimensionError("reduce_max needs an integer axis")
     axis = _check_reduce_axis(x, axis)
     out = x.data.max(axis=axis)
 
     def backward(g):
         grad = np.zeros_like(x.data)
-        if axis is None:
-            grad.flat[np.argmax(x.data == out)] = g
-        else:
-            first = np.expand_dims(np.argmax(x.data == np.expand_dims(out, axis), axis=axis), axis)
-            np.put_along_axis(grad, first, np.expand_dims(g, axis), axis=axis)
+        first = np.expand_dims(np.argmax(x.data == np.expand_dims(out, axis), axis=axis), axis)
+        np.put_along_axis(grad, first, np.expand_dims(g, axis), axis=axis)
         return (grad,)
 
     return record_op("max", (x,), out, backward, meta={"axis": axis})

@@ -10,6 +10,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -28,45 +32,31 @@ class Adam:
     per ``step`` call.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.state = [AdamState(np.zeros_like(p.data), np.zeros_like(p.data)) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - BETA1**self.t
+        correct2 = 1.0 - BETA2**self.t
         for p, s in zip(self.params, self.state):
             g = p.grad
             if g is None:
                 g = 0.0
             elif g.shape != p.data.shape:
                 raise DimensionError(f"grad shape {g.shape} does not match param {p.data.shape}")
-            s.m *= self.beta1
-            s.m += (1.0 - self.beta1) * g
-            s.v *= self.beta2
-            s.v += (1.0 - self.beta2) * np.square(g)
+            s.m *= BETA1
+            s.m += (1.0 - BETA1) * g
+            s.v *= BETA2
+            s.v += (1.0 - BETA2) * np.square(g)
             m_hat = s.m / correct1
             v_hat = s.v / correct2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

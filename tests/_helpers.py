@@ -4,6 +4,7 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import ops
+from dagam.gradcheck import finite_difference
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
 
@@ -31,25 +32,6 @@ def tiny_setup(seed, n_nodes=4, n_features=3, n_classes=2):
     return params, x, adjacency, laplacian
 
 
-def finite_difference(f, tensors, h=1e-4):
-    """Central-difference gradient of scalar-valued f for each tensor."""
-    grads = []
-    for t in tensors:
-        g = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            saved = flat[j]
-            flat[j] = saved + h
-            upper = f()
-            flat[j] = saved - h
-            lower = f()
-            flat[j] = saved
-            gflat[j] = (upper - lower) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
 def _model_margin(tape):
     """Like nonsmooth_margin, but exact 0-0 ties in max reductions are safe.
 
@@ -64,7 +46,7 @@ def _model_margin(tape):
             closest = min(closest, float(np.abs(x).min()))
         elif entry.op == "max":
             axis = entry.meta["axis"]
-            if axis is None or x.shape[axis] < 2:
+            if x.shape[axis] < 2:
                 continue
             ordered = np.sort(x, axis=axis)
             top = np.take(ordered, -1, axis=axis)

@@ -55,6 +55,19 @@ class TestDownsample:
         out = downsample(rec, 200.0)
         assert np.abs(out.samples).max() < 1e-9
 
+    def test_content_at_exactly_the_new_nyquist_removed(self):
+        # A 100 Hz cosine decimated to 200 Hz would alias to +-1 every sample.
+        t = np.arange(1000) / 1000.0
+        rec = Recording(np.cos(2 * np.pi * 100.0 * t)[None, :], 1000.0, "s0", 0, 0)
+        out = downsample(rec, 200.0)
+        assert np.abs(out.samples).max() < 1e-9
+
+    @pytest.mark.parametrize("target", [0.0, math.nan, math.inf])
+    def test_bad_target_rate_rejected(self, target):
+        rec = Recording(np.zeros((1, 1000)), 1000.0, "s0", 0, 0)
+        with pytest.raises(ConfigError):
+            downsample(rec, target)
+
 
 class TestBandIsolate:
     def test_in_band_sine_preserved(self):
@@ -86,6 +99,13 @@ class TestBandIsolate:
     def test_inverted_band_rejected(self):
         with pytest.raises(ConfigError):
             band_isolate(np.zeros(100), 12.0, 8.0, 200.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, rate", [(math.nan, 10.0, 200.0), (1.0, math.nan, 200.0), (1.0, 10.0, math.nan)]
+    )
+    def test_nan_band_or_rate_rejected(self, lo, hi, rate):
+        with pytest.raises(ConfigError):
+            band_isolate(np.zeros(100), lo, hi, rate)
 
 
 class TestDifferentialEntropy:
@@ -185,10 +205,16 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError):
             extract_features(rec, DEFAULT_BANDS, 0.001)
 
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, window_s):
+        rec = Recording(np.zeros((2, 400)), 200.0, "s", 0, 0)
+        with pytest.raises(ConfigError, match="window length"):
+            extract_features(rec, DEFAULT_BANDS, window_s)
+
 
 def test_prepare_recording_downsamples_and_band_limits():
     rec = Recording(sine(10, 1000, 2.0) + 5.0, 1000.0, "s", 0, 0)
-    out = prepare_recording(rec, 200.0, (1.0, 75.0))
+    out = prepare_recording(rec)
     assert out.rate == 200.0
     assert out.n_samples == 400
     # DC offset is outside the 1-75 Hz limit; the 10 Hz carrier survives.

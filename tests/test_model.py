@@ -1,5 +1,6 @@
 """GCN layers, attention pooling, readout, gradient reversal, full forward."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -92,8 +93,12 @@ class TestTopRank:
         np.testing.assert_array_equal(idx, [0, 1, 2])
 
     def test_column_vector_scores_accepted(self):
+        # The trailing axis is the node axis: a column is four one-node graphs.
         idx = top_rank(np.array([[0.9], [0.1], [0.5], [0.7]]), 0.5)
-        np.testing.assert_array_equal(idx, [0, 3])
+        np.testing.assert_array_equal(idx, [[0], [0], [0], [0]])
+        assert top_rank(np.zeros((4, 1)), 0.5).shape == (4, 1)
+        idx = top_rank(np.array([[0.9, 0.1, 0.5, 0.7]]), 0.5)
+        np.testing.assert_array_equal(idx, [[0, 3]])
 
     def test_batched_scores(self):
         scores = np.array([[0.9, 0.1, 0.5, 0.7], [0.1, 0.9, 0.7, 0.5]])
@@ -146,6 +151,13 @@ class TestSagPool:
         assert pool.a_out.shape == (3, 3, 3)
         for b in range(3):
             np.testing.assert_array_equal(pool.a_out[b], a[np.ix_(pool.index[b], pool.index[b])])
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_scores_with_more_than_one_column_rejected(self, columns):
+        # With as many columns as features, the score product would broadcast.
+        x = Tensor(np.ones((4, 3)))
+        with pytest.raises(DimensionError, match="must have shape"):
+            sag_pool(x, np.eye(4), Tensor(np.ones((4, columns))), 0.5)
 
     def test_gradient_reaches_attention_weights(self):
         params, x, adjacency, laplacian = tiny_setup(3)
@@ -224,6 +236,11 @@ class TestGradReverse:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             grad_reverse(Tensor([1.0]), -0.1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="reversal strength"):
+            grad_reverse(Tensor([1.0]), lam)
 
 
 class TestForward:

@@ -1,5 +1,7 @@
 """Adam update arithmetic and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,12 @@ def test_two_clones_step_byte_identically():
 def test_nonpositive_learning_rate_rejected():
     with pytest.raises(ConfigError):
         Adam([Tensor([1.0])], lr=0.0)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_non_finite_learning_rate_rejected(lr):
+    with pytest.raises(ConfigError, match="learning rate"):
+        Adam([Tensor([1.0])], lr=lr)
 
 
 def test_second_moment_stays_nonnegative():
