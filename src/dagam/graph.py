@@ -120,6 +120,9 @@ def renormalized_laplacian(adj) -> np.ndarray:
     a = adj.matrix if isinstance(adj, Adjacency) else np.asarray(adj, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphError(f"adjacency must be square, got {a.shape}")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise GraphError(f"adjacency must be finite; entry ({i}, {j}) is {a[i, j]}")
     if not np.array_equal(a, a.T):
         raise GraphError("adjacency must be symmetric")
     a_tilde = a + np.eye(a.shape[0])

@@ -76,10 +76,6 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.emotion[-1].shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.gcn_weights[0].shape[0]
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     bound = math.sqrt(6.0 / (fan_in + fan_out))

@@ -62,6 +62,26 @@ class TestDownsample:
         out = downsample(rec, 200.0)
         assert np.abs(out.samples).max() < 1e-9
 
+    @pytest.mark.parametrize("n", [1000, 1005])
+    def test_equals_masking_then_keeping_every_fifth_sample(self, n):
+        x = np.random.default_rng(n).standard_normal((3, n))
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0)
+        masked = band_isolate(x, 0.0, np.nextafter(100.0, 0.0), 1000.0)
+        np.testing.assert_allclose(out.samples, masked[:, ::5], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, kept", [(1003, 1000), (997, 995)])
+    def test_trailing_remainder_dropped(self, n, kept):
+        x = np.random.default_rng(n).standard_normal((2, n))
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0)
+        head = downsample(Recording(x[:, :kept], 1000.0, "s0", 0, 0), 200.0)
+        assert out.n_samples == kept // 5
+        np.testing.assert_array_equal(out.samples, head.samples)
+
+    def test_shorter_than_factor_rejected(self):
+        rec = Recording(np.zeros((1, 4)), 1000.0, "s0", 0, 0)
+        with pytest.raises(DataError):
+            downsample(rec, 200.0)
+
     @pytest.mark.parametrize("target", [0.0, math.nan, math.inf])
     def test_bad_target_rate_rejected(self, target):
         rec = Recording(np.zeros((1, 1000)), 1000.0, "s0", 0, 0)
@@ -160,6 +180,23 @@ class TestExtractFeatures:
         assert len(out) == 60
         assert all(s.x.shape == (62, 5) for s in out)
         assert all(s.label == 1 and s.subject == "s0" for s in out)
+
+    def test_equals_per_window_per_channel_reference(self):
+        rng = np.random.default_rng(4)
+        rec = Recording(rng.standard_normal((3, 5 * 200 + 37)), 200.0, "s0", 0, 0)
+        out = extract_features(rec, DEFAULT_BANDS, 1.0)
+        for w, sample in enumerate(out):
+            block = rec.samples[:, w * 200 : (w + 1) * 200]
+            for ch in range(rec.n_channels):
+                for b, (lo, hi) in enumerate(DEFAULT_BANDS):
+                    ref = differential_entropy(band_isolate(block[ch], lo, hi, rec.rate))
+                    assert abs(sample.x[ch, b] - ref) <= 1e-12
+
+    @pytest.mark.parametrize("bands", [(), ((1.0, 101.0),), ((12.0, 8.0),)])
+    def test_bad_bands_rejected(self, bands):
+        rec = Recording(np.zeros((2, 400)), 200.0, "s", 0, 0)
+        with pytest.raises(ConfigError):
+            extract_features(rec, bands, 1.0)
 
     def test_single_full_range_band(self):
         rng = np.random.default_rng(2)

@@ -7,7 +7,6 @@ import pytest
 
 from dagam.errors import ConfigError, GraphError, LayoutError
 from dagam.graph import (
-    Adjacency,
     ElectrodeLayout,
     apply_global_connections,
     build_adjacency,
@@ -103,6 +102,15 @@ class TestRenormalizedLaplacian:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(GraphError):
             renormalized_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_nan_reported_as_non_finite(self):
+        with pytest.raises(GraphError, match="finite"):
+            renormalized_laplacian(np.full((2, 2), math.nan))
+
+    def test_symmetric_inf_edge_rejected(self):
+        a = np.array([[0.0, math.inf], [math.inf, 0.0]])
+        with pytest.raises(GraphError, match=r"entry \(0, 1\) is inf"):
+            renormalized_laplacian(a)
 
     def test_output_exactly_symmetric_on_full_montage(self):
         adj = apply_global_connections(

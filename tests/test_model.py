@@ -11,7 +11,6 @@ from dagam import ops
 from dagam.errors import ConfigError, DegenerateInputError, DimensionError
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
-    ModelParams,
     attention_scores,
     forward_batch,
     gcn_layer,

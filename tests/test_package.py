@@ -1,4 +1,7 @@
-"""The package's public surface: exports resolve and errors share one base."""
+"""The package's public surface: exports resolve, errors share one base, no import is unread."""
+
+import ast
+from pathlib import Path
 
 import dagam
 from dagam import errors
@@ -25,3 +28,28 @@ def test_every_error_class_is_exported():
         if isinstance(obj, type) and issubclass(obj, DagamError)
     }
     assert defined <= set(dagam.__all__)
+
+
+def _unread_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_imported_name_is_unread():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    assert files
+    assert [hit for path in files for hit in _unread_imports(path)] == []
