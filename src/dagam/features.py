@@ -5,6 +5,13 @@ the working rate by spectral decimation (the trailing ``n % factor`` samples
 are dropped), a wide band limit, then per-window, per-band differential
 entropy under a Gaussian model: DE = 0.5 * ln(2 * pi * e * var). Band
 isolation is DFT masking, chosen so analytic sinusoids are exact test oracles.
+
+Feature extraction never forms the band-isolated windows: by Parseval, the
+unbiased variance of a width-n window masked to a band is the sum over the
+band's rfft bins of w_k * |X_k|^2, divided by n * (n - 1), with w_k = 0 for
+the DC bin (the mean, which the variance removes), 1 for the Nyquist bin of
+an even n, and 2 for every other bin (it stands for itself and its mirror).
+``band_isolate`` + ``differential_entropy`` per window is the reference.
 """
 
 from __future__ import annotations
@@ -83,6 +90,13 @@ def downsample(rec: Recording, target: float) -> Recording:
     return Recording(decimated, target, rec.subject, rec.trial, rec.label)
 
 
+def _check_band(lo: float, hi: float, rate: float) -> None:
+    if not 0 <= lo < hi:
+        raise ConfigError(f"band [{lo}, {hi}] is not a valid frequency range")
+    if not hi <= rate / 2.0:
+        raise ConfigError(f"band edge {hi} Hz exceeds the Nyquist frequency {rate / 2.0} Hz")
+
+
 def band_isolate(signal: np.ndarray, lo: float, hi: float, rate: float) -> np.ndarray:
     """Keep only DFT bins with frequency in [lo, hi]; length is preserved.
 
@@ -90,12 +104,11 @@ def band_isolate(signal: np.ndarray, lo: float, hi: float, rate: float) -> np.nd
     one call. Idempotent: reapplying the same band is a no-op up to
     round-trip rounding.
     """
-    if not 0 <= lo < hi:
-        raise ConfigError(f"band [{lo}, {hi}] is not a valid frequency range")
-    if not hi <= rate / 2.0:
-        raise ConfigError(f"band edge {hi} Hz exceeds the Nyquist frequency {rate / 2.0} Hz")
+    _check_band(lo, hi, rate)
     signal = np.asarray(signal, dtype=np.float64)
     n = signal.shape[-1]
+    if n == 0:
+        raise DataError("cannot band-isolate a signal of zero samples")
     spectrum = np.fft.rfft(signal, axis=-1)
     freqs = np.fft.rfftfreq(n, d=1.0 / rate)
     spectrum[..., (freqs < lo) | (freqs > hi)] = 0.0
@@ -117,18 +130,25 @@ def differential_entropy(window: np.ndarray) -> float:
         raise DegenerateInputError(f"expected a 1-D window, got shape {window.shape}")
     if window.size < 2:
         raise DegenerateInputError(f"window of length {window.size} has no sample variance")
+    if not np.isfinite(window).all():
+        raise DataError("window must be finite; found NaN or infinity")
     return float(_gaussian_entropy(window.var(ddof=1)))
 
 
 def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSample]:
     """Per-window node-feature matrices of shape (channels, len(bands)).
 
-    Each non-overlapping window is band-isolated and reduced to its
-    differential entropy, channel by channel; all windows of a band are
-    isolated in one call. The recording must already be at the working rate.
+    Each non-overlapping window is reduced, channel by channel, to the
+    differential entropy of its content in each band, whose variance comes
+    from the window's power spectrum by Parseval (see the module docstring):
+    one rfft covers every window, and one product with a (bins, bands)
+    weight matrix gives every band. The recording must already be at the
+    working rate.
     """
     if len(bands) == 0:
         raise ConfigError("need at least one frequency band")
+    for lo, hi in bands:
+        _check_band(lo, hi, rec.rate)
     if not 0 < window_s < np.inf:
         raise ConfigError(f"window length must be positive and finite, got {window_s} s")
     width = int(round(window_s * rec.rate))
@@ -140,8 +160,16 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
             f"recording of {rec.n_samples} samples is shorter than one {width}-sample window"
         )
     windows = rec.samples[:, : n_windows * width].reshape(rec.n_channels, n_windows, width)
-    variances = [band_isolate(windows, lo, hi, rec.rate).var(ddof=1, axis=-1) for lo, hi in bands]
-    de = _gaussian_entropy(np.stack(variances, axis=-1)).transpose(1, 0, 2)  # (windows, C, bands)
+    spectrum = np.fft.rfft(windows, axis=-1)
+    power = spectrum.real**2 + spectrum.imag**2
+    freqs = np.fft.rfftfreq(width, d=1.0 / rec.rate)
+    bin_weight = np.full(freqs.size, 2.0)
+    bin_weight[0] = 0.0
+    if width % 2 == 0:
+        bin_weight[-1] = 1.0
+    weights = np.stack([bin_weight * ((freqs >= lo) & (freqs <= hi)) for lo, hi in bands], axis=-1)
+    variances = power @ (weights / (width * (width - 1)))
+    de = _gaussian_entropy(variances).transpose(1, 0, 2)  # (windows, C, bands)
     return [FeatureSample(x, rec.label, rec.subject) for x in de]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dagam.errors import ConfigError, DataError, DegenerateInputError
 from dagam.features import (
     DEFAULT_BANDS,
+    VARIANCE_FLOOR,
     Recording,
     band_isolate,
     differential_entropy,
@@ -23,6 +24,30 @@ def sine(freq, rate, seconds, channels=1):
     t = np.arange(int(rate * seconds)) / rate
     wave = np.sin(2 * np.pi * freq * t)
     return np.tile(wave, (channels, 1))
+
+
+# At 128 Hz, rfftfreq puts the Nyquist bin of every even width up to 64 at
+# exactly rate / 2, so a band ending at rate / 2 keeps it (at 200 Hz the bin
+# lands one ulp above 100 Hz at widths 22, 44 and 62 and is dropped).
+PROPERTY_RATE = 128.0
+
+
+@st.composite
+def widths_and_bands(draw):
+    """A window width in 2..64 and bands with edges on and between DFT bins.
+
+    The first band is [0, rate / 2]: it keeps the DC bin and, at an even
+    width, the Nyquist bin.
+    """
+    width = draw(st.integers(2, 64))
+    nyquist = PROPERTY_RATE / 2.0
+    freqs = np.fft.rfftfreq(width, d=1.0 / PROPERTY_RATE).tolist()
+    edge = st.one_of(st.sampled_from(freqs), st.floats(0.0, nyquist))
+    bands = [(0.0, nyquist)]
+    for a, b in draw(st.lists(st.tuples(edge, edge), max_size=4)):
+        if a != b:
+            bands.append((min(a, b), max(a, b)))
+    return width, bands
 
 
 class TestDownsample:
@@ -127,6 +152,10 @@ class TestBandIsolate:
         with pytest.raises(ConfigError):
             band_isolate(np.zeros(100), lo, hi, rate)
 
+    def test_empty_signal_rejected(self):
+        with pytest.raises(DataError):
+            band_isolate(np.zeros((3, 0)), 1.0, 10.0, 200.0)
+
 
 class TestDifferentialEntropy:
     def test_zero_at_reference_variance(self):
@@ -155,6 +184,11 @@ class TestDifferentialEntropy:
     def test_too_short_window_rejected(self):
         with pytest.raises(DegenerateInputError):
             differential_entropy(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_rejected(self, bad):
+        with pytest.raises(DataError):
+            differential_entropy(np.array([1.0, bad, 2.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), shift=st.floats(-50.0, 50.0))
@@ -192,7 +226,35 @@ class TestExtractFeatures:
                     ref = differential_entropy(band_isolate(block[ch], lo, hi, rec.rate))
                     assert abs(sample.x[ch, b] - ref) <= 1e-12
 
-    @pytest.mark.parametrize("bands", [(), ((1.0, 101.0),), ((12.0, 8.0),)])
+    @settings(max_examples=60, deadline=None)
+    @given(case=widths_and_bands(), n_windows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_parseval_equals_reference_at_every_width(self, case, n_windows, seed):
+        width, bands = case
+        rng = np.random.default_rng(seed)
+        # An offset puts power in the DC bin, which the variance must drop.
+        samples = rng.standard_normal((2, n_windows * width)) + rng.uniform(-5.0, 5.0)
+        rec = Recording(samples, PROPERTY_RATE, "s0", 0, 0)
+        out = extract_features(rec, bands, width / PROPERTY_RATE)
+        assert len(out) == n_windows
+        for w, sample in enumerate(out):
+            block = samples[:, w * width : (w + 1) * width]
+            for ch in range(rec.n_channels):
+                for b, (lo, hi) in enumerate(bands):
+                    ref = differential_entropy(band_isolate(block[ch], lo, hi, PROPERTY_RATE))
+                    assert abs(sample.x[ch, b] - ref) <= 1e-12
+
+    def test_constant_recording_gives_floor_in_every_band(self):
+        rec = Recording(np.full((3, 600), 1e3), 200.0, "s0", 0, 0)
+        bands = DEFAULT_BANDS + ((0.0, 100.0),)
+        out = extract_features(rec, bands, 1.0)
+        expected = 0.5 * math.log(2.0 * math.pi * math.e * VARIANCE_FLOOR)
+        for sample in out:
+            np.testing.assert_allclose(sample.x, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bands",
+        [(), ((1.0, 101.0),), ((12.0, 8.0),), ((math.nan, 4.0),), ((1.0, math.nan),)],
+    )
     def test_bad_bands_rejected(self, bands):
         rec = Recording(np.zeros((2, 400)), 200.0, "s", 0, 0)
         with pytest.raises(ConfigError):
