@@ -1,10 +1,14 @@
 """Differential-entropy features from multichannel recordings.
 
 Preprocessing follows the usual EEG recipe: integer-factor downsampling to
-the working rate by spectral decimation (the trailing ``n % factor`` samples
-are dropped), a wide band limit, then per-window, per-band differential
-entropy under a Gaussian model: DE = 0.5 * ln(2 * pi * e * var). Band
-isolation is DFT masking, chosen so analytic sinusoids are exact test oracles.
+the working rate with a wide band limit, then per-window, per-band
+differential entropy under a Gaussian model: DE = 0.5 * ln(2 * pi * e * var).
+Downsampling and band limit are one spectral pass: one rfft at the raw rate,
+truncation to the bins strictly below the new Nyquist, zeroing of the kept
+bins outside the band, and one irfft at the working rate (the trailing
+``n % factor`` samples are dropped). Band isolation is DFT masking, chosen
+so analytic sinusoids are exact test oracles; bin k of a width-n spectrum
+sits at k * rate / n Hz.
 
 Feature extraction never forms the band-isolated windows: by Parseval, the
 unbiased variance of a width-n window masked to a band is the sum over the
@@ -71,23 +75,47 @@ class FeatureSample:
     subject: str
 
 
-def downsample(rec: Recording, target: float) -> Recording:
-    """Integer-factor spectral decimation; drops the trailing ``n % factor`` samples."""
+def downsample(rec: Recording, target: float, band: tuple[float, float] | None = None) -> Recording:
+    """Integer-factor spectral decimation, band-limited in the same pass if ``band`` is given.
+
+    One rfft at the input rate keeps the bins strictly below the new Nyquist
+    (every bin at factor 1), zeroes the kept bins outside ``band`` = (lo, hi)
+    Hz, and one irfft gives the result at ``target``. The trailing
+    ``n % factor`` samples are dropped. The band keeps exactly the bins
+    ``band_isolate`` keeps at ``target``, so at factor 1 this is
+    ``band_isolate``.
+    """
     if not 0 < target < np.inf:
         raise ConfigError(f"target rate must be positive and finite, got {target}")
+    if band is not None:
+        _check_band(*band, target)
     ratio = rec.rate / target
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
         raise ConfigError(f"rate {rec.rate} is not an integer multiple of target {target}")
-    if factor == 1:
+    if factor == 1 and band is None:
         return Recording(rec.samples.copy(), target, rec.subject, rec.trial, rec.label)
     out_len = rec.n_samples // factor
     if out_len == 0:
         raise DataError(f"recording of {rec.n_samples} samples is shorter than the factor {factor}")
     spectrum = np.fft.rfft(rec.samples[:, : out_len * factor], axis=-1)
-    # The new Nyquist bin itself aliases, so only bins strictly below it stay.
-    decimated = np.fft.irfft(spectrum[:, : (out_len + 1) // 2], n=out_len, axis=-1) / factor
+    # Past factor 1 the new Nyquist bin itself aliases, so only bins strictly below it stay.
+    kept = spectrum[:, : out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2]
+    if band is not None:
+        freqs = _bin_freqs(out_len, target)[: kept.shape[-1]]
+        kept[:, (freqs < band[0]) | (freqs > band[1])] = 0.0
+    decimated = np.fft.irfft(kept, n=out_len, axis=-1) / factor
     return Recording(decimated, target, rec.subject, rec.trial, rec.label)
+
+
+def _bin_freqs(n: int, rate: float) -> np.ndarray:
+    """Frequencies in Hz of the n // 2 + 1 rfft bins of a width-n signal.
+
+    k * rate / n is correctly rounded for an integer rate, so the Nyquist bin
+    of an even width is exactly rate / 2 (``np.fft.rfftfreq`` can land an ulp
+    above it).
+    """
+    return np.arange(n // 2 + 1) * rate / n
 
 
 def _check_band(lo: float, hi: float, rate: float) -> None:
@@ -110,7 +138,7 @@ def band_isolate(signal: np.ndarray, lo: float, hi: float, rate: float) -> np.nd
     if n == 0:
         raise DataError("cannot band-isolate a signal of zero samples")
     spectrum = np.fft.rfft(signal, axis=-1)
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
+    freqs = _bin_freqs(n, rate)
     spectrum[..., (freqs < lo) | (freqs > hi)] = 0.0
     return np.fft.irfft(spectrum, n=n, axis=-1)
 
@@ -162,7 +190,7 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
     windows = rec.samples[:, : n_windows * width].reshape(rec.n_channels, n_windows, width)
     spectrum = np.fft.rfft(windows, axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
-    freqs = np.fft.rfftfreq(width, d=1.0 / rec.rate)
+    freqs = _bin_freqs(width, rec.rate)
     bin_weight = np.full(freqs.size, 2.0)
     bin_weight[0] = 0.0
     if width % 2 == 0:
@@ -174,7 +202,9 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
 
 
 def prepare_recording(rec: Recording) -> Recording:
-    """Downsample to WORKING_RATE, then keep only LIMIT_BAND."""
-    out = downsample(rec, WORKING_RATE) if rec.rate != WORKING_RATE else rec
-    limited = band_isolate(out.samples, *LIMIT_BAND, WORKING_RATE)
-    return Recording(limited, WORKING_RATE, rec.subject, rec.trial, rec.label)
+    """Bring ``rec`` to WORKING_RATE limited to LIMIT_BAND in one spectral pass.
+
+    One raw-rate rfft, truncation below the new Nyquist, the LIMIT_BAND mask
+    and one irfft at WORKING_RATE, all inside ``downsample``.
+    """
+    return downsample(rec, WORKING_RATE, LIMIT_BAND)

@@ -111,8 +111,15 @@ def init_params(
 
 
 def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor, activation=ops.relu) -> Tensor:
-    """Graph propagation activation(L x W); pass activation=None for linear."""
-    out = ops.matmul(ops.matmul(laplacian, x), w)
+    """Graph propagation activation(L x W); pass activation=None for linear.
+
+    The product is associated as L (x W) when W narrows the features and as
+    (L x) W otherwise, so the node-mixing product runs on the narrower side.
+    """
+    if w.shape[-1] < x.shape[-1]:
+        out = ops.matmul(laplacian, ops.matmul(x, w))
+    else:
+        out = ops.matmul(ops.matmul(laplacian, x), w)
     return out if activation is None else activation(out)
 
 

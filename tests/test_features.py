@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagam import features
 from dagam.errors import ConfigError, DataError, DegenerateInputError
 from dagam.features import (
     DEFAULT_BANDS,
@@ -26,28 +27,28 @@ def sine(freq, rate, seconds, channels=1):
     return np.tile(wave, (channels, 1))
 
 
-# At 128 Hz, rfftfreq puts the Nyquist bin of every even width up to 64 at
-# exactly rate / 2, so a band ending at rate / 2 keeps it (at 200 Hz the bin
-# lands one ulp above 100 Hz at widths 22, 44 and 62 and is dropped).
-PROPERTY_RATE = 128.0
+# A power-of-two rate, and the working rate, at which k * rate / n is inexact
+# at most widths; at both, a band ending at rate / 2 keeps the Nyquist bin.
+PROPERTY_RATES = (128.0, 200.0)
 
 
 @st.composite
 def widths_and_bands(draw):
-    """A window width in 2..64 and bands with edges on and between DFT bins.
+    """A rate, a window width in 2..64 and bands with edges on and between DFT bins.
 
     The first band is [0, rate / 2]: it keeps the DC bin and, at an even
     width, the Nyquist bin.
     """
+    rate = draw(st.sampled_from(PROPERTY_RATES))
     width = draw(st.integers(2, 64))
-    nyquist = PROPERTY_RATE / 2.0
-    freqs = np.fft.rfftfreq(width, d=1.0 / PROPERTY_RATE).tolist()
+    nyquist = rate / 2.0
+    freqs = (np.arange(width // 2 + 1) * rate / width).tolist()
     edge = st.one_of(st.sampled_from(freqs), st.floats(0.0, nyquist))
     bands = [(0.0, nyquist)]
     for a, b in draw(st.lists(st.tuples(edge, edge), max_size=4)):
         if a != b:
             bands.append((min(a, b), max(a, b)))
-    return width, bands
+    return rate, width, bands
 
 
 class TestDownsample:
@@ -113,6 +114,19 @@ class TestDownsample:
         with pytest.raises(ConfigError):
             downsample(rec, target)
 
+    def test_band_at_factor_one_keeps_the_nyquist_bin(self):
+        # At factor 1 nothing aliases, so a band up to rate / 2 keeps that bin.
+        x = np.random.default_rng(7).standard_normal((3, 444)) + 2.0
+        out = downsample(Recording(x, 200.0, "s0", 0, 0), 200.0, (1.0, 100.0))
+        np.testing.assert_array_equal(out.samples, band_isolate(x, 1.0, 100.0, 200.0))
+
+    @pytest.mark.parametrize("band", [(1.0, 101.0), (12.0, 8.0), (math.nan, 4.0), (1.0, math.nan)])
+    def test_bad_band_rejected(self, band):
+        # 101 Hz is below the input's Nyquist (500 Hz) but above the target's.
+        rec = Recording(np.zeros((1, 1000)), 1000.0, "s0", 0, 0)
+        with pytest.raises(ConfigError):
+            downsample(rec, 200.0, band)
+
 
 class TestBandIsolate:
     def test_in_band_sine_preserved(self):
@@ -155,6 +169,14 @@ class TestBandIsolate:
     def test_empty_signal_rejected(self):
         with pytest.raises(DataError):
             band_isolate(np.zeros((3, 0)), 1.0, 10.0, 200.0)
+
+    def test_full_range_is_identity_at_every_even_width(self):
+        # [0, rate / 2] must keep the Nyquist bin, which sits at exactly 100 Hz.
+        rng = np.random.default_rng(8)
+        for width in range(2, 65, 2):
+            x = rng.standard_normal(width)
+            y = band_isolate(x, 0.0, 100.0, 200.0)
+            np.testing.assert_allclose(y, x, rtol=0, atol=1e-12, err_msg=f"width {width}")
 
 
 class TestDifferentialEntropy:
@@ -229,18 +251,18 @@ class TestExtractFeatures:
     @settings(max_examples=60, deadline=None)
     @given(case=widths_and_bands(), n_windows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_parseval_equals_reference_at_every_width(self, case, n_windows, seed):
-        width, bands = case
+        rate, width, bands = case
         rng = np.random.default_rng(seed)
         # An offset puts power in the DC bin, which the variance must drop.
         samples = rng.standard_normal((2, n_windows * width)) + rng.uniform(-5.0, 5.0)
-        rec = Recording(samples, PROPERTY_RATE, "s0", 0, 0)
-        out = extract_features(rec, bands, width / PROPERTY_RATE)
+        rec = Recording(samples, rate, "s0", 0, 0)
+        out = extract_features(rec, bands, width / rate)
         assert len(out) == n_windows
         for w, sample in enumerate(out):
             block = samples[:, w * width : (w + 1) * width]
             for ch in range(rec.n_channels):
                 for b, (lo, hi) in enumerate(bands):
-                    ref = differential_entropy(band_isolate(block[ch], lo, hi, PROPERTY_RATE))
+                    ref = differential_entropy(band_isolate(block[ch], lo, hi, rate))
                     assert abs(sample.x[ch, b] - ref) <= 1e-12
 
     def test_constant_recording_gives_floor_in_every_band(self):
@@ -319,6 +341,42 @@ def test_prepare_recording_downsamples_and_band_limits():
     # DC offset is outside the 1-75 Hz limit; the 10 Hz carrier survives.
     assert abs(out.samples.mean()) < 1e-9
     assert out.samples.std() == pytest.approx(np.sqrt(0.5), rel=0.02)
+
+
+@pytest.mark.parametrize("n", [1000, 1003, 1005])
+def test_prepare_recording_equals_downsampling_then_band_limiting(n):
+    x = 10.0 * np.random.default_rng(n).standard_normal((3, n)) + 4.0
+    rec = Recording(x, 1000.0, "s", 0, 0)
+    ref = band_isolate(downsample(rec, 200.0).samples, 1.0, 75.0, 200.0)
+    out = prepare_recording(rec)
+    np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+def test_prepare_recording_at_the_working_rate_is_band_isolate():
+    x = np.random.default_rng(9).standard_normal((3, 600)) + 3.0
+    out = prepare_recording(Recording(x, 200.0, "s", 0, 0))
+    assert out.rate == 200.0
+    np.testing.assert_array_equal(out.samples, band_isolate(x, 1.0, 75.0, 200.0))
+
+
+def test_prepare_recording_is_one_downsample_call(monkeypatch):
+    # The bench's stage timer (bench/tracing.py) wraps these module attributes,
+    # so the work must stay inside them.
+    calls = {"downsample": 0, "band_isolate": 0}
+
+    def counting(name):
+        original = getattr(features, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(features, name, counting(name))
+    prepare_recording(Recording(sine(10, 1000, 1.0), 1000.0, "s", 0, 0))
+    assert calls == {"downsample": 1, "band_isolate": 0}
 
 
 @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])

@@ -45,12 +45,37 @@ class TestGcnLayer:
         upper = np.triu(np.abs(rng.standard_normal((4, 4))), 1)
         lap = Tensor(renormalized_laplacian(upper + upper.T))
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 
         def f(x_, w_):
             return ops.reduce_sum(ops.tanh(gcn_layer(lap, x_, w_, activation=ops.tanh)))
 
-        assert grad_check(f, [x, w]) < 1e-4
+        # Widths 2, 3 and 5 from 3 features take both associations: L (x W) and (L x) W.
+        for width in (2, 3, 5):
+            w = Tensor(rng.standard_normal((3, width)), requires_grad=True)
+            assert grad_check(f, [x, w]) < 1e-4
+
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_batch_equals_dense_product(self, width):
+        rng = np.random.default_rng(width)
+        lap = rng.standard_normal((5, 5))
+        x, w = rng.standard_normal((3, 5, 4)), rng.standard_normal((4, width))
+        out = gcn_layer(Tensor(lap), Tensor(x), Tensor(w), activation=None)
+        np.testing.assert_allclose(out.data, lap @ x @ w, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("width, first", [(1, "xw"), (4, "lx"), (6, "lx")])
+    def test_narrowing_weight_is_applied_first(self, width, first, monkeypatch):
+        lap, x, w = Tensor(np.eye(5)), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((4, width)))
+        operands = []
+        matmul = ops.matmul
+
+        def recording(a, b):
+            operands.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ops, "matmul", recording)
+        gcn_layer(lap, x, w)
+        assert operands[0] == ((x, w) if first == "xw" else (lap, x))
 
 
 class TestAttentionScores:
