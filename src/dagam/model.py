@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DegenerateInputError, DimensionError
+from .errors import ConfigError, DataError, DegenerateInputError, DimensionError
 from .tensor import Tensor, record_op
 
 DEFAULT_GCN_HIDDEN = (64, 64, 64)
@@ -233,9 +233,18 @@ def forward_batch(
     Returns (emotion probabilities (..., B, C), domain probabilities
     (..., B, 2) or None, PoolResult). The domain head can be skipped entirely
     for ablations and evaluation.
+
+    A NaN or infinite feature raises DataError naming its first position.
+    Only ``x`` is scanned: the parameters are not, since scanning them on
+    every call would cost a batch-1 request more than its features do; a
+    training loop is the place to check them once per step.
     """
     if x.ndim < 3:
         raise DimensionError(f"expected (..., B, N, F) features, got {x.shape}")
+    finite = np.isfinite(x.data)
+    if not finite.all():
+        position = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise DataError(f"forward_batch: feature {x.data[position]} at position {position}")
     h = x
     for w in params.gcn_weights:
         h = gcn_layer(laplacian, h, w)

@@ -3,9 +3,19 @@
 All ops follow numpy's trailing-dimension broadcast rule and work on
 float64 data. Binary ops and matmul accept extra leading batch dimensions;
 gradients are summed back down to each operand's shape.
+
+Operands whose shapes do not fit raise DimensionError naming the shapes.
+Where numpy rejects them itself, the operation is the check: its
+ValueError is re-raised as DimensionError, so the valid path pays for no
+pre-check. Only what numpy would accept or misreport is checked up front:
+matmul's rank (numpy takes 1-d operands) and inner dimension, and the
+range of concat's axis.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,13 +41,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _require_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; extra leading dimensions broadcast as a batch."""
     if a.ndim < 2 or b.ndim < 2:
@@ -45,10 +48,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = a.data @ b.data
     except ValueError:
         raise DimensionError(f"matmul: batch dimensions disagree, {a.shape} x {b.shape}") from None
-    out = a.data @ b.data
 
     def backward(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
@@ -59,21 +61,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcastable(a, b, "add")
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return record_op("add", (a, b), a.data + b.data, backward)
+    return record_op("add", (a, b), out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcastable(a, b, "mul")
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return record_op("mul", (a, b), a.data * b.data, backward)
+    return record_op("mul", (a, b), out, backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -167,6 +175,8 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max subtraction for stability."""
     if x.ndim < 1:
         raise DimensionError("softmax_rows needs at least one axis")
+    if x.shape[-1] == 0:
+        raise DegenerateInputError(f"softmax_rows over an empty last axis, shape {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     y = np.exp(shifted)
     y /= y.sum(axis=-1, keepdims=True)
@@ -194,10 +204,15 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise DegenerateInputError("concat of zero tensors")
     ndim = tensors[0].ndim
-    axis = axis % ndim
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"concat: axis {axis} out of range for rank-{ndim} inputs")
+    axis %= ndim
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise DimensionError(f"concat: shapes {shapes} do not join along axis {axis}") from None
+    offsets = list(accumulate(t.shape[axis] for t in tensors))[:-1]
 
     def backward(g):
         return tuple(np.split(g, offsets, axis=axis))
@@ -208,16 +223,21 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Select rows along the second-to-last axis.
 
-    ``index`` has shape ``x.shape[:-2] + (M,)`` with integer entries in
-    ``[0, N)``, else ContractError; the output is ``x.shape[:-2] + (M, F)``.
-    The backward pass scatter-adds with one ``np.bincount`` over flat
-    element indices, so repeated indices accumulate and a non-finite
-    upstream value reaches only the row it was gathered from.
+    ``index`` has shape ``x.shape[:-2] + (M,)`` and an integer dtype
+    (signed or unsigned; float and bool indices raise ContractError rather
+    than being truncated or read as 0/1), with entries in ``[0, N)``, else
+    ContractError; the output is ``x.shape[:-2] + (M, F)``. The forward
+    makes one index into a (batch, N, F) view; the backward scatter-adds
+    with one ``np.bincount`` over flat element indices, so repeated indices
+    accumulate and a non-finite upstream value reaches only the row it was
+    gathered from.
     """
     if x.ndim < 2:
         raise DimensionError(f"gather_rows needs rank >= 2 input, got {x.shape}")
-    index = np.asarray(index, dtype=np.intp)
-    if index.shape[:-1] != x.shape[:-2]:
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise ContractError(f"gather_rows: indices must be integers, got dtype {index.dtype}")
+    if index.ndim != x.ndim - 1 or index.shape[:-1] != x.shape[:-2]:
         raise DimensionError(
             f"gather_rows: index shape {index.shape} does not match input {x.shape}"
         )
@@ -226,12 +246,13 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
         raise ContractError(
             f"gather_rows: indices must lie in [0, {n_rows}), got [{index.min()}, {index.max()}]"
         )
-    out = np.take_along_axis(x.data, index[..., None], axis=-2)
-    batch = int(np.prod(x.shape[:-2], dtype=np.intp)) if x.ndim > 2 else 1
+    batch = math.prod(x.shape[:-2])
+    rows = index.astype(np.intp, copy=False).reshape(batch, index.shape[-1])
+    samples = np.arange(batch)[:, None]
+    out = x.data.reshape(batch, n_rows, n_cols)[samples, rows].reshape(index.shape + (n_cols,))
 
     def backward(g):
-        rows = index.reshape(batch, -1) + n_rows * np.arange(batch)[:, None]
-        flat = (rows[..., None] * n_cols + np.arange(n_cols)).ravel()
+        flat = ((rows + n_rows * samples)[..., None] * n_cols + np.arange(n_cols)).ravel()
         grad = np.bincount(flat, weights=g.ravel(), minlength=batch * n_rows * n_cols)
         return (grad.reshape(x.shape),)
 

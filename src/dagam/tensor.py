@@ -17,21 +17,15 @@ import numpy as np
 
 from .errors import ContractError
 
-_STATE = threading.local()
+
+class _State(threading.local):
+    """Per-thread stack of recording tapes, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
-
-
-def active_tape() -> "Tape | None":
-    """The innermost tape currently recording, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_STATE = _State()
 
 
 class Tensor:
@@ -102,11 +96,11 @@ class Tape:
         return len(self.entries)
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _STATE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
+        stack = _STATE.stack
         if not stack or stack[-1] is not self:
             raise ContractError("tape context exited out of order")
         stack.pop()
@@ -118,11 +112,11 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward,
     The output requires a gradient only when some input does and a tape is
     listening; otherwise the op runs as plain evaluation.
     """
-    tape = active_tape()
-    needs_grad = tape is not None and any(t.requires_grad for t in inputs)
+    stack = _STATE.stack
+    needs_grad = bool(stack) and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs_grad)
     if needs_grad:
-        tape.record(op, inputs, out, backward, meta)
+        stack[-1].record(op, inputs, out, backward, meta)
     return out
 
 

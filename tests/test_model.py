@@ -8,7 +8,7 @@ import pytest
 
 from dagam import Tape, Tensor, backward
 from dagam import ops
-from dagam.errors import ConfigError, DegenerateInputError, DimensionError
+from dagam.errors import ConfigError, DataError, DegenerateInputError, DimensionError
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
     attention_scores,
@@ -279,6 +279,15 @@ class TestForward:
         params, x, adjacency, laplacian = tiny_setup(0)
         with pytest.raises(DimensionError):
             forward_batch(params, Tensor(x.data[0]), laplacian, adjacency, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected_at_its_position(self, bad):
+        params, x, adjacency, laplacian = tiny_setup(0)
+        batch = np.repeat(x.data, 3, axis=0)
+        batch[1, 2, 0] = bad
+        batch[2, 0, 1] = bad
+        with pytest.raises(DataError, match=r"\(1, 2, 0\)"):
+            forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
 
     def test_zeroed_final_emotion_layer_gives_uniform(self):
         params, x, adjacency, laplacian = tiny_setup(1)

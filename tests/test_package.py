@@ -1,4 +1,5 @@
-"""The package's public surface: exports resolve, errors share one base, no import is unread."""
+"""The package's public surface: exports resolve, errors share one base, no import is unread,
+no private function is left without a caller."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,24 @@ def test_no_imported_name_is_unread():
     files = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
     assert files
     assert [hit for path in files for hit in _unread_imports(path)] == []
+
+
+def test_every_private_function_is_referenced():
+    src = Path(__file__).resolve().parents[1] / "src"
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.rglob("*.py"))]
+    assert trees
+    private = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(private - referenced) == []

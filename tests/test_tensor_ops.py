@@ -73,6 +73,10 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             ops.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    def test_batch_mismatch_raised_by_the_product_names_both_shapes(self):
+        with pytest.raises(DimensionError, match=r"batch.*\(2, 3, 4\).*\(3, 4, 5\)"):
+            ops.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
 
 class TestElementwise:
     def test_relu(self):
@@ -114,6 +118,11 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             ops.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))))
 
+    @pytest.mark.parametrize("op", [ops.add, ops.mul])
+    def test_broadcast_error_names_both_shapes(self, op):
+        with pytest.raises(DimensionError, match=rf"{op.__name__}: shapes \(2, 3\) and \(4,\)"):
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+
 
 class TestReduce:
     def test_mean_axis0(self):
@@ -150,6 +159,10 @@ class TestSoftmaxRows:
     def test_closed_form(self):
         out = ops.softmax_rows(Tensor([[np.log(2.0), 0.0]]))
         np.testing.assert_allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
+
+    def test_empty_last_axis_is_degenerate(self):
+        with pytest.raises(DegenerateInputError, match=r"\(2, 0\)"):
+            ops.softmax_rows(Tensor(np.zeros((2, 0))))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=6))
@@ -301,12 +314,58 @@ class TestGatherConcat:
         np.testing.assert_array_equal(grad[1, [1, 3]], 0.0)
         np.testing.assert_array_equal(grad[0, 3], 1.0)
 
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 3, 5, 4)])
+    def test_gather_matches_take_along_axis_and_add_at(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        # Seven picks from five rows: every batch element repeats a row.
+        index = rng.integers(0, shape[-2], shape[:-2] + (7,))
+        with Tape() as tape:
+            out = ops.gather_rows(x, index)
+        reference = np.take_along_axis(x.data, index[..., None], axis=-2)
+        np.testing.assert_array_equal(out.data, reference)
+        upstream = rng.standard_normal(out.shape)
+        (grad,) = tape.entries[0].backward(upstream)
+        expected = np.zeros(shape)
+        for lead in np.ndindex(shape[:-2]):
+            np.add.at(expected[lead], index[lead], upstream[lead])
+        np.testing.assert_allclose(grad, expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.array([1.7, 2.9]), np.array([True, False]), []])
+    def test_gather_rejects_non_integer_indices(self, bad):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ContractError, match="integers"):
+            ops.gather_rows(x, bad)
+
+    def test_gather_takes_unsigned_indices(self):
+        x = Tensor(np.arange(24.0).reshape(2, 4, 3), requires_grad=True)
+        index = np.array([[3, 3], [0, 1]], dtype=np.uint64)
+        run_backward(lambda: ops.reduce_sum(ops.gather_rows(x, index)))
+        expected = np.zeros((2, 4, 3))
+        expected[0, 3] = 2.0
+        expected[1, [0, 1]] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_gather_rejects_a_scalar_index(self):
+        with pytest.raises(DimensionError):
+            ops.gather_rows(Tensor(np.zeros((4, 3))), np.int64(1))
+
     def test_concat_splits_gradient(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[3.0]], requires_grad=True)
         run_backward(lambda: ops.reduce_sum(ops.concat([a, b], axis=1)))
         np.testing.assert_array_equal(a.grad, [[1.0, 1.0]])
         np.testing.assert_array_equal(b.grad, [[1.0]])
+
+    @pytest.mark.parametrize("axis", [2, 5, -3])
+    def test_concat_rejects_axis_out_of_range(self, axis):
+        a = Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match=f"axis {axis}"):
+            ops.concat([a, a], axis=axis)
+
+    def test_concat_mismatch_names_the_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\), \(4, 2\)"):
+            ops.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2)))], axis=1)
 
 
 @settings(max_examples=60, deadline=None)
