@@ -75,35 +75,32 @@ class FeatureSample:
     subject: str
 
 
-def downsample(rec: Recording, target: float, band: tuple[float, float] | None = None) -> Recording:
-    """Integer-factor spectral decimation, band-limited in the same pass if ``band`` is given.
+def downsample(rec: Recording, target: float, band: tuple[float, float]) -> Recording:
+    """Integer-factor spectral decimation, band-limited to ``band`` in the same pass.
 
     One rfft at the input rate keeps the bins strictly below the new Nyquist
     (every bin at factor 1), zeroes the kept bins outside ``band`` = (lo, hi)
     Hz, and one irfft gives the result at ``target``. The trailing
     ``n % factor`` samples are dropped. The band keeps exactly the bins
     ``band_isolate`` keeps at ``target``, so at factor 1 this is
-    ``band_isolate``.
+    ``band_isolate``. A band of (0, target / 2) limits nothing beyond the
+    decimation itself.
     """
     if not 0 < target < np.inf:
         raise ConfigError(f"target rate must be positive and finite, got {target}")
-    if band is not None:
-        _check_band(*band, target)
+    _check_band(*band, target)
     ratio = rec.rate / target
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
         raise ConfigError(f"rate {rec.rate} is not an integer multiple of target {target}")
-    if factor == 1 and band is None:
-        return Recording(rec.samples.copy(), target, rec.subject, rec.trial, rec.label)
     out_len = rec.n_samples // factor
     if out_len == 0:
         raise DataError(f"recording of {rec.n_samples} samples is shorter than the factor {factor}")
     spectrum = np.fft.rfft(rec.samples[:, : out_len * factor], axis=-1)
     # Past factor 1 the new Nyquist bin itself aliases, so only bins strictly below it stay.
     kept = spectrum[:, : out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2]
-    if band is not None:
-        freqs = _bin_freqs(out_len, target)[: kept.shape[-1]]
-        kept[:, (freqs < band[0]) | (freqs > band[1])] = 0.0
+    freqs = _bin_freqs(out_len, target)[: kept.shape[-1]]
+    kept[:, (freqs < band[0]) | (freqs > band[1])] = 0.0
     decimated = np.fft.irfft(kept, n=out_len, axis=-1) / factor
     return Recording(decimated, target, rec.subject, rec.trial, rec.label)
 

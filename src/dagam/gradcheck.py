@@ -63,21 +63,21 @@ def finite_difference(
     """Central-difference gradient of the scalar ``f()`` with respect to each tensor.
 
     Each coordinate is moved by +h and -h in place, ``f`` is called at both
-    points, and the coordinate is restored before the next one.
+    points, and the coordinate is restored before the next one. Coordinates
+    are written through ``t.data`` itself, so a non-contiguous array (a
+    transpose, a strided slice) is perturbed where ``f`` reads it.
     """
     grads = []
     for t in tensors:
         g = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            saved = flat[j]
-            flat[j] = saved + h
+        for idx in np.ndindex(t.shape):
+            saved = t.data[idx]
+            t.data[idx] = saved + h
             upper = f()
-            flat[j] = saved - h
+            t.data[idx] = saved - h
             lower = f()
-            flat[j] = saved
-            gflat[j] = (upper - lower) / (2.0 * h)
+            t.data[idx] = saved
+            g[idx] = (upper - lower) / (2.0 * h)
         grads.append(g)
     return grads
 

@@ -58,10 +58,6 @@ class Adjacency:
     matrix: np.ndarray
     names: tuple[str, ...]
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def pairwise_distances(layout: ElectrodeLayout) -> np.ndarray:
     diff = layout.positions[:, None, :] - layout.positions[None, :, :]

@@ -63,8 +63,6 @@ def _unit(inclination_deg: float, azimuth_deg: float) -> np.ndarray:
 
 def _slerp(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     omega = math.acos(float(np.clip(np.dot(p, q), -1.0, 1.0)))
-    if omega < 1e-12:
-        return p.copy()
     return (math.sin((1.0 - t) * omega) * p + math.sin(t * omega) * q) / math.sin(omega)
 
 

@@ -162,18 +162,11 @@ class PoolResult:
         return self.adjacency[self.index[..., :, None], self.index[..., None, :]]
 
 
-def sag_pool(
-    x: Tensor,
-    adjacency: np.ndarray,
-    scores: Tensor,
-    k: float,
-    index: np.ndarray | None = None,
-) -> PoolResult:
+def sag_pool(x: Tensor, adjacency: np.ndarray, scores: Tensor, k: float) -> PoolResult:
     """Keep the top ceil(k*N) nodes and scale their features by their scores.
 
-    Passing ``index`` overrides the ranking (used to freeze the selection
-    while gradient-checking, since the selection itself is piecewise
-    constant). Gradients flow through the score multiplication.
+    The kept nodes are ``top_rank`` of the scores. The selection is piecewise
+    constant, so gradients flow only through the score multiplication.
     """
     if scores.shape != x.shape[:-1] + (1,):
         raise DimensionError(f"scores {scores.shape} must have shape {x.shape[:-1] + (1,)}")
@@ -181,8 +174,7 @@ def sag_pool(
     n = x.shape[-2]
     if adjacency.shape != (n, n):
         raise DimensionError(f"adjacency {adjacency.shape} does not match {n} nodes")
-    if index is None:
-        index = top_rank(scores.data[..., 0], k)
+    index = top_rank(scores.data[..., 0], k)
     x_kept = ops.gather_rows(x, index)
     return PoolResult(ops.mul(x_kept, ops.gather_rows(scores, index)), adjacency, index)
 
@@ -225,14 +217,15 @@ def forward_batch(
     adjacency: np.ndarray,
     k: float,
     lam: float = 1.0,
-    pool_index: np.ndarray | None = None,
     domain_head: bool = True,
 ):
     """Run the network on (..., B, N, F) features; a single sample is a batch of one.
 
     Returns (emotion probabilities (..., B, C), domain probabilities
-    (..., B, 2) or None, PoolResult). The domain head can be skipped entirely
-    for ablations and evaluation.
+    (..., B, 2) or None, PoolResult). Pooling keeps the ``top_rank`` nodes
+    of the attention scores at ratio ``k``; ``lam`` is the reversal strength
+    in front of the domain head, which can be skipped entirely for ablations
+    and evaluation.
 
     A NaN or infinite feature raises DataError naming its first position.
     Only ``x`` is scanned: the parameters are not, since scanning them on
@@ -249,7 +242,7 @@ def forward_batch(
     for w in params.gcn_weights:
         h = gcn_layer(laplacian, h, w)
     scores = attention_scores(laplacian, h, params.w_att)
-    pool = sag_pool(h, adjacency, scores, k, index=pool_index)
+    pool = sag_pool(h, adjacency, scores, k)
     embedding = readout(pool.x_out)
     emotion = ops.softmax_rows(_feed_forward(embedding, params.emotion))
     domain = None

@@ -86,10 +86,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); a NaN input stays NaN."""
-    mask = x.data > 0
 
     def backward(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
     return record_op("relu", (x,), np.maximum(x.data, 0.0), backward)
 
@@ -109,10 +108,9 @@ def tanh(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     """Natural log of ``max(x, LOG_FLOOR)``; flat (zero gradient) below the floor."""
     clamped = np.maximum(x.data, LOG_FLOOR)
-    inside = x.data >= LOG_FLOOR
 
     def backward(g):
-        return (np.where(inside, g / clamped, 0.0),)
+        return (np.where(x.data >= LOG_FLOOR, g / clamped, 0.0),)
 
     return record_op("log", (x,), np.log(clamped), backward)
 
@@ -212,12 +210,13 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     except ValueError:
         shapes = ", ".join(str(t.shape) for t in tensors)
         raise DimensionError(f"concat: shapes {shapes} do not join along axis {axis}") from None
-    offsets = list(accumulate(t.shape[axis] for t in tensors))[:-1]
+    inputs = tuple(tensors)
 
     def backward(g):
+        offsets = list(accumulate(t.shape[axis] for t in inputs))[:-1]
         return tuple(np.split(g, offsets, axis=axis))
 
-    return record_op("concat", tuple(tensors), out, backward)
+    return record_op("concat", inputs, out, backward)
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:

@@ -29,7 +29,8 @@ class Adam:
 
     Parameters with a ``None`` grad are treated as having a zero gradient
     (their moments still decay). The step counter increases by exactly one
-    per ``step`` call.
+    per ``step`` call. A grad whose shape differs from its parameter's raises
+    DimensionError before any counter, moment or parameter changes.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
@@ -41,15 +42,14 @@ class Adam:
         self.state = [AdamState(np.zeros_like(p.data), np.zeros_like(p.data)) for p in self.params]
 
     def step(self) -> None:
+        for p in self.params:
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise DimensionError(f"grad shape {p.grad.shape} does not match param {p.data.shape}")
         self.t += 1
         correct1 = 1.0 - BETA1**self.t
         correct2 = 1.0 - BETA2**self.t
         for p, s in zip(self.params, self.state):
-            g = p.grad
-            if g is None:
-                g = 0.0
-            elif g.shape != p.data.shape:
-                raise DimensionError(f"grad shape {g.shape} does not match param {p.data.shape}")
+            g = 0.0 if p.grad is None else p.grad
             s.m *= BETA1
             s.m += (1.0 - BETA1) * g
             s.v *= BETA2

@@ -89,9 +89,6 @@ class Tape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
 
-    def record(self, op: str, inputs: Sequence[Tensor], output: Tensor, backward, meta=None) -> None:
-        self.entries.append(TapeEntry(op, tuple(inputs), output, backward, meta))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -116,7 +113,7 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward,
     needs_grad = bool(stack) and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs_grad)
     if needs_grad:
-        stack[-1].record(op, inputs, out, backward, meta)
+        stack[-1].entries.append(TapeEntry(op, tuple(inputs), out, backward, meta))
     return out
 
 

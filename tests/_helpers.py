@@ -1,9 +1,11 @@
 """Shared fixtures-in-code for model-level gradient verification."""
 
+from unittest import mock
+
 import numpy as np
 
 from dagam import Tape, Tensor, backward
-from dagam import ops
+from dagam import model, ops
 from dagam.gradcheck import finite_difference
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
@@ -68,7 +70,8 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
     fd(emotion) - lam * fd(domain) for the features and feature-extractor
     parameters (the reversal sits between them and the domain loss), and
     fd(emotion) + fd(domain) for the head parameters. The pooling selection
-    is frozen at the unperturbed scores since it is piecewise constant, and
+    is frozen at the unperturbed scores since it is piecewise constant (by
+    swapping ``model.top_rank``, the seam ``forward_batch`` ranks through), and
     instances whose relu/max inputs sit within ``margin`` of a kink are
     deterministically reseeded (finite differences straddle the kink there).
     """
@@ -86,21 +89,10 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
     frozen = pool.index
 
     def branches(lam_value):
-        emo, dom, _ = forward_batch(
-            params, x, laplacian, adjacency, k, lam_value, pool_index=frozen
-        )
+        emo, dom, _ = forward_batch(params, x, laplacian, adjacency, k, lam_value)
         ly = ops.reduce_sum(ops.mul(emo, mix_emotion))
         ld = ops.reduce_sum(ops.mul(dom, mix_domain))
         return ly, ld
-
-    tensors = [x, *params.all_params()]
-    with Tape() as tape:
-        ly, ld = branches(lam)
-        total = ops.add(ly, ld)
-    for t in tensors:
-        t.grad = None
-    backward(total, tape)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
     def scalar_of(which):
         def run():
@@ -109,8 +101,17 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
 
         return run
 
-    fd_emotion = finite_difference(scalar_of("emotion"), tensors, h)
-    fd_domain = finite_difference(scalar_of("domain"), tensors, h)
+    tensors = [x, *params.all_params()]
+    with mock.patch.object(model, "top_rank", lambda scores, k_: frozen):
+        with Tape() as tape:
+            ly, ld = branches(lam)
+            total = ops.add(ly, ld)
+        for t in tensors:
+            t.grad = None
+        backward(total, tape)
+        analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+        fd_emotion = finite_difference(scalar_of("emotion"), tensors, h)
+        fd_domain = finite_difference(scalar_of("domain"), tensors, h)
 
     reversed_group = {id(x), *(id(t) for t in params.feature_params())}
     worst = 0.0

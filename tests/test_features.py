@@ -27,6 +27,11 @@ def sine(freq, rate, seconds, channels=1):
     return np.tile(wave, (channels, 1))
 
 
+# The whole 0-100 Hz range at a 200 Hz target: downsampling with no band limit
+# beyond the decimation (at factor > 1 it zeroes none of the kept bins).
+FULL_BAND = (0.0, 100.0)
+
+
 # A power-of-two rate, and the working rate, at which k * rate / n is inexact
 # at most widths; at both, a band ending at rate / 2 keeps the Nyquist bin.
 PROPERTY_RATES = (128.0, 200.0)
@@ -54,18 +59,19 @@ def widths_and_bands(draw):
 class TestDownsample:
     def test_1000_to_200_keeps_every_fifth_sample_count(self):
         rec = Recording(np.zeros((2, 1000)), 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0)
+        out = downsample(rec, 200.0, FULL_BAND)
         assert out.rate == 200.0
         assert out.n_samples == 200
 
     def test_identity_when_rates_match(self):
+        # At factor 1 the full band zeroes nothing: only rfft/irfft rounding remains.
         rec = Recording(sine(10, 200, 1.0), 200.0, "s0", 0, 0)
-        out = downsample(rec, 200.0)
-        np.testing.assert_array_equal(out.samples, rec.samples)
+        out = downsample(rec, 200.0, FULL_BAND)
+        np.testing.assert_allclose(out.samples, rec.samples, rtol=0, atol=1e-14)
 
     def test_below_nyquist_sine_preserved(self):
         rec = Recording(sine(10, 1000, 1.0), 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0)
+        out = downsample(rec, 200.0, FULL_BAND)
         expected = sine(10, 200, 1.0)
         # amplitude preserved within 1%
         assert abs(out.samples.max() - expected.max()) < 0.01
@@ -74,45 +80,45 @@ class TestDownsample:
     def test_non_integer_ratio_rejected(self):
         rec = Recording(np.zeros((1, 300)), 300.0, "s0", 0, 0)
         with pytest.raises(ConfigError):
-            downsample(rec, 200.0)
+            downsample(rec, 200.0, FULL_BAND)
 
     def test_above_new_nyquist_content_removed(self):
         rec = Recording(sine(150, 1000, 1.0), 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0)
+        out = downsample(rec, 200.0, FULL_BAND)
         assert np.abs(out.samples).max() < 1e-9
 
     def test_content_at_exactly_the_new_nyquist_removed(self):
         # A 100 Hz cosine decimated to 200 Hz would alias to +-1 every sample.
         t = np.arange(1000) / 1000.0
         rec = Recording(np.cos(2 * np.pi * 100.0 * t)[None, :], 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0)
+        out = downsample(rec, 200.0, FULL_BAND)
         assert np.abs(out.samples).max() < 1e-9
 
     @pytest.mark.parametrize("n", [1000, 1005])
     def test_equals_masking_then_keeping_every_fifth_sample(self, n):
         x = np.random.default_rng(n).standard_normal((3, n))
-        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0)
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0, FULL_BAND)
         masked = band_isolate(x, 0.0, np.nextafter(100.0, 0.0), 1000.0)
         np.testing.assert_allclose(out.samples, masked[:, ::5], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kept", [(1003, 1000), (997, 995)])
     def test_trailing_remainder_dropped(self, n, kept):
         x = np.random.default_rng(n).standard_normal((2, n))
-        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0)
-        head = downsample(Recording(x[:, :kept], 1000.0, "s0", 0, 0), 200.0)
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0, FULL_BAND)
+        head = downsample(Recording(x[:, :kept], 1000.0, "s0", 0, 0), 200.0, FULL_BAND)
         assert out.n_samples == kept // 5
         np.testing.assert_array_equal(out.samples, head.samples)
 
     def test_shorter_than_factor_rejected(self):
         rec = Recording(np.zeros((1, 4)), 1000.0, "s0", 0, 0)
         with pytest.raises(DataError):
-            downsample(rec, 200.0)
+            downsample(rec, 200.0, FULL_BAND)
 
     @pytest.mark.parametrize("target", [0.0, math.nan, math.inf])
     def test_bad_target_rate_rejected(self, target):
         rec = Recording(np.zeros((1, 1000)), 1000.0, "s0", 0, 0)
         with pytest.raises(ConfigError):
-            downsample(rec, target)
+            downsample(rec, target, FULL_BAND)
 
     def test_band_at_factor_one_keeps_the_nyquist_bin(self):
         # At factor 1 nothing aliases, so a band up to rate / 2 keeps that bin.
@@ -347,7 +353,7 @@ def test_prepare_recording_downsamples_and_band_limits():
 def test_prepare_recording_equals_downsampling_then_band_limiting(n):
     x = 10.0 * np.random.default_rng(n).standard_normal((3, n)) + 4.0
     rec = Recording(x, 1000.0, "s", 0, 0)
-    ref = band_isolate(downsample(rec, 200.0).samples, 1.0, 75.0, 200.0)
+    ref = band_isolate(downsample(rec, 200.0, FULL_BAND).samples, 1.0, 75.0, 200.0)
     out = prepare_recording(rec)
     np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
 

@@ -6,7 +6,7 @@ import pytest
 from dagam import Tensor
 from dagam import ops
 from dagam.errors import ContractError
-from dagam.gradcheck import grad_check
+from dagam.gradcheck import finite_difference, grad_check
 
 TOL = 1e-4
 
@@ -41,6 +41,25 @@ def test_non_scalar_function_rejected():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError):
         grad_check(lambda x_: ops.mul(x_, x_), [x])
+
+
+@pytest.mark.parametrize(
+    "view",
+    [lambda a: a.T, lambda a: a[::2, 1::2]],
+    ids=["transposed", "strided_slice"],
+)
+def test_non_contiguous_inputs_are_perturbed_in_place(view):
+    # A copy of the data (what reshape returns for a non-contiguous array)
+    # would leave f unchanged by every probe and give an all-zero gradient.
+    data = view(np.random.default_rng(5).standard_normal((4, 6)) + 3.0)
+    assert not data.flags.c_contiguous
+    x = Tensor(data, requires_grad=True)
+    assert x.data is data
+    before = data.copy()
+    (numeric,) = finite_difference(lambda: float((x.data * x.data).sum()), [x])
+    np.testing.assert_allclose(numeric, 2.0 * before, rtol=1e-8)
+    np.testing.assert_array_equal(x.data, before)
+    assert grad_check(lambda x_: ops.reduce_sum(ops.mul(x_, x_)), [x]) < TOL
 
 
 def _away_from_zero(rng, shape, low=0.2, high=1.5):

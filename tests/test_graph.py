@@ -41,7 +41,7 @@ class TestBuildAdjacency:
     def test_offdiagonal_entries_in_unit_interval(self):
         for sigma in (0.5, 5.0, 50.0):
             adj = build_adjacency(build_62_channel_layout(), sigma=sigma)
-            off = adj.matrix[~np.eye(adj.n, dtype=bool)]
+            off = adj.matrix[~np.eye(len(adj.names), dtype=bool)]
             assert (off > 0).all() and (off <= 1).all()
 
     def test_nonpositive_sigma_rejected(self):

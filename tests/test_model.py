@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dagam import Tape, Tensor, backward
 from dagam import ops
@@ -128,6 +131,26 @@ class TestTopRank:
         scores = np.array([[0.9, 0.1, 0.5, 0.7], [0.1, 0.9, 0.7, 0.5]])
         idx = top_rank(scores, 0.5)
         np.testing.assert_array_equal(idx, [[0, 3], [1, 2]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scores=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=7),
+            # Few distinct values, so most draws carry ties.
+            elements=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),
+        ),
+        k=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_matches_sorted_reference_under_ties(self, scores, k):
+        n = scores.shape[-1]
+        count = retained_count(k, n)
+        got = top_rank(scores, k)
+        assert got.shape == scores.shape[:-1] + (count,)
+        for row in np.ndindex(scores.shape[:-1]):
+            s = scores[row]
+            expected = sorted(sorted(range(n), key=lambda i: (-s[i], i))[:count])
+            assert got[row].tolist() == expected
 
     def test_retained_count_matches_exact_ceiling_for_grid(self):
         # Oracle: exact rational arithmetic on the decimal grid.
@@ -314,17 +337,19 @@ class TestForward:
         second = forward_batch(params, x, laplacian, adjacency, 0.5)[0].data
         np.testing.assert_array_equal(first, second)
 
-    def test_batched_matches_per_sample(self):
-        params, _, adjacency, laplacian = tiny_setup(6)
-        rng = np.random.default_rng(7)
-        batch = rng.standard_normal((5, 4, 3))
-        emotion_b, domain_b, _ = forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
-        for i in range(5):
-            emotion_i, domain_i, _ = forward_batch(
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_batched_matches_per_sample(self, size, seed):
+        params, _, adjacency, laplacian = tiny_setup(seed)
+        batch = np.random.default_rng([seed, 1]).standard_normal((size, 4, 3))
+        emotion_b, domain_b, pool_b = forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
+        for i in range(size):
+            emotion_i, domain_i, pool_i = forward_batch(
                 params, Tensor(batch[i : i + 1]), laplacian, adjacency, 0.5
             )
             np.testing.assert_allclose(emotion_b.data[i], emotion_i.data[0], atol=1e-12)
             np.testing.assert_allclose(domain_b.data[i], domain_i.data[0], atol=1e-12)
+            np.testing.assert_array_equal(pool_b.index[i], pool_i.index[0])
 
     def test_permutation_consistency_of_probabilities(self):
         params, x, adjacency, laplacian = tiny_setup(8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dagam import Tensor
-from dagam.errors import ConfigError
+from dagam.errors import ConfigError, DimensionError
 from dagam.optim import Adam
 
 
@@ -75,3 +75,21 @@ def test_second_moment_stays_nonnegative():
         opt.step()
         assert (opt.state[0].v >= 0).all()
     assert opt.t == 3
+
+
+def test_wrong_grad_shape_leaves_no_half_applied_step():
+    # The bad grad is the last one, so a check inside the update loop would
+    # raise only after the earlier parameters and the counter had moved.
+    a = Tensor([1.0, 1.0], requires_grad=True)
+    b = Tensor([2.0, 3.0], requires_grad=True)
+    opt = Adam([a, b], lr=0.1)
+    a.grad = np.ones(2)
+    b.grad = np.ones(3)
+    with pytest.raises(DimensionError, match="grad shape"):
+        opt.step()
+    assert opt.t == 0
+    np.testing.assert_array_equal(a.data, [1.0, 1.0])
+    np.testing.assert_array_equal(b.data, [2.0, 3.0])
+    for state in opt.state:
+        np.testing.assert_array_equal(state.m, 0.0)
+        np.testing.assert_array_equal(state.v, 0.0)
