@@ -99,20 +99,21 @@ def downsample(rec: Recording, target: float, band: tuple[float, float]) -> Reco
     spectrum = np.fft.rfft(rec.samples[:, : out_len * factor], axis=-1)
     # Past factor 1 the new Nyquist bin itself aliases, so only bins strictly below it stay.
     kept = spectrum[:, : out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2]
-    freqs = _bin_freqs(out_len, target)[: kept.shape[-1]]
-    kept[:, (freqs < band[0]) | (freqs > band[1])] = 0.0
+    kept[:, ~_in_band(out_len, target, *band)[: kept.shape[-1]]] = 0.0
     decimated = np.fft.irfft(kept, n=out_len, axis=-1) / factor
     return Recording(decimated, target, rec.subject, rec.trial, rec.label)
 
 
-def _bin_freqs(n: int, rate: float) -> np.ndarray:
-    """Frequencies in Hz of the n // 2 + 1 rfft bins of a width-n signal.
+def _in_band(n: int, rate: float, lo: float, hi: float) -> np.ndarray:
+    """Mask of the n // 2 + 1 rfft bins of a width-n signal lying in [lo, hi] Hz.
 
-    k * rate / n is correctly rounded for an integer rate, so the Nyquist bin
-    of an even width is exactly rate / 2 (``np.fft.rfftfreq`` can land an ulp
-    above it).
+    Bin k sits at k * rate / n, which is correctly rounded for an integer
+    rate, so the Nyquist bin of an even width is exactly rate / 2
+    (``np.fft.rfftfreq`` can land an ulp above it) and a band ending there
+    keeps it.
     """
-    return np.arange(n // 2 + 1) * rate / n
+    freqs = np.arange(n // 2 + 1) * rate / n
+    return (freqs >= lo) & (freqs <= hi)
 
 
 def _check_band(lo: float, hi: float, rate: float) -> None:
@@ -135,8 +136,7 @@ def band_isolate(signal: np.ndarray, lo: float, hi: float, rate: float) -> np.nd
     if n == 0:
         raise DataError("cannot band-isolate a signal of zero samples")
     spectrum = np.fft.rfft(signal, axis=-1)
-    freqs = _bin_freqs(n, rate)
-    spectrum[..., (freqs < lo) | (freqs > hi)] = 0.0
+    spectrum[..., ~_in_band(n, rate, lo, hi)] = 0.0
     return np.fft.irfft(spectrum, n=n, axis=-1)
 
 
@@ -167,8 +167,9 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
     differential entropy of its content in each band, whose variance comes
     from the window's power spectrum by Parseval (see the module docstring):
     one rfft covers every window, and one product with a (bins, bands)
-    weight matrix gives every band. The recording must already be at the
-    working rate.
+    weight matrix gives every band. Any rate works: the bands are checked
+    against the recording's own Nyquist, and ``window_s`` must span a whole
+    number of samples at that rate (within 1e-9), else ConfigError.
     """
     if len(bands) == 0:
         raise ConfigError("need at least one frequency band")
@@ -176,7 +177,10 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
         _check_band(lo, hi, rec.rate)
     if not 0 < window_s < np.inf:
         raise ConfigError(f"window length must be positive and finite, got {window_s} s")
-    width = int(round(window_s * rec.rate))
+    span = window_s * rec.rate
+    width = int(round(span))
+    if abs(span - width) > 1e-9:
+        raise ConfigError(f"window of {window_s} s at {rec.rate} Hz is not a whole number of samples")
     if width < 2:
         raise ConfigError(f"window of {window_s} s at {rec.rate} Hz has {width} samples; need >= 2")
     n_windows = rec.n_samples // width
@@ -187,12 +191,11 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
     windows = rec.samples[:, : n_windows * width].reshape(rec.n_channels, n_windows, width)
     spectrum = np.fft.rfft(windows, axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
-    freqs = _bin_freqs(width, rec.rate)
-    bin_weight = np.full(freqs.size, 2.0)
+    bin_weight = np.full(width // 2 + 1, 2.0)
     bin_weight[0] = 0.0
     if width % 2 == 0:
         bin_weight[-1] = 1.0
-    weights = np.stack([bin_weight * ((freqs >= lo) & (freqs <= hi)) for lo, hi in bands], axis=-1)
+    weights = np.stack([bin_weight * _in_band(width, rec.rate, lo, hi) for lo, hi in bands], axis=-1)
     variances = power @ (weights / (width * (width - 1)))
     de = _gaussian_entropy(variances).transpose(1, 0, 2)  # (windows, C, bands)
     return [FeatureSample(x, rec.label, rec.subject) for x in de]

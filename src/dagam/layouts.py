@@ -66,24 +66,9 @@ def _slerp(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     return (math.sin((1.0 - t) * omega) * p + math.sin(t * omega) * q) / math.sin(omega)
 
 
-def _row(left_azimuth: float, midline: np.ndarray, names_left_to_mid: list[str]) -> dict:
-    """Electrodes at equal arc fractions from the ring endpoint to the midline.
-
-    ``names_left_to_mid`` runs outward-in and excludes the midline electrode;
-    the right hemisphere mirrors by negating azimuth (x coordinate).
-    """
-    out: dict[str, np.ndarray] = {}
-    endpoint = _unit(_RING_INCLINATION, left_azimuth)
-    steps = len(names_left_to_mid) + 1
-    for i, name in enumerate(names_left_to_mid):
-        out[name] = _slerp(endpoint, midline, i / steps)
-    return out
-
-
-def _mirror(pos: np.ndarray) -> np.ndarray:
-    flipped = pos.copy()
-    flipped[0] = -flipped[0]
-    return flipped
+def _right(name: str) -> str:
+    """The right-hemisphere twin of a left electrode: odd number plus one (F3 -> F4)."""
+    return name[:-1] + str(int(name[-1]) + 1)
 
 
 def build_62_channel_layout() -> ElectrodeLayout:
@@ -102,41 +87,36 @@ def build_62_channel_layout() -> ElectrodeLayout:
     }
     for name, azimuth in ring.items():
         pos[name] = _unit(_RING_INCLINATION, azimuth)
-    midline = {
-        "FZ": _unit(36.0, 0.0),
-        "FCZ": _unit(18.0, 0.0),
-        "CZ": _unit(0.0, 0.0),
-        "CPZ": _unit(18.0, 180.0),
-        "PZ": _unit(36.0, 180.0),
-        "POZ": _unit(54.0, 180.0),
-    }
-    pos.update(midline)
+    pos["FZ"] = _unit(36.0, 0.0)
+    pos["FCZ"] = _unit(18.0, 0.0)
+    pos["CZ"] = _unit(0.0, 0.0)
+    pos["CPZ"] = _unit(18.0, 180.0)
+    pos["PZ"] = _unit(36.0, 180.0)
+    pos["POZ"] = _unit(54.0, 180.0)
 
-    # Interior rows, left hemisphere then mirrored.
-    left_rows = [
-        _row(-54.0, midline["FZ"], ["F7", "F5", "F3", "F1"]),
-        _row(-72.0, midline["FCZ"], ["FT7", "FC5", "FC3", "FC1"]),
-        _row(-90.0, midline["CZ"], ["T7", "C5", "C3", "C1"]),
-        _row(-108.0, midline["CPZ"], ["TP7", "CP5", "CP3", "CP1"]),
-        _row(-126.0, midline["PZ"], ["P7", "P5", "P3", "P1"]),
-        _row(-144.0, midline["POZ"], ["PO7", "PO5", "PO3"]),
-    ]
-    for row in left_rows:
-        pos.update(row)
+    # Interior rows: electrodes at equal arc fractions from the left ring
+    # electrode to the midline electrode, names running outward-in. Each
+    # interior electrode's right twin negates x. The right ring electrodes
+    # keep their own ring points: the slerp-placed left ring electrode can
+    # sit an ulp off its ring point, so mirroring it would move them.
+    flip = np.array([-1.0, 1.0, 1.0])
+    left_rows = (
+        ("FZ", ("F7", "F5", "F3", "F1")),
+        ("FCZ", ("FT7", "FC5", "FC3", "FC1")),
+        ("CZ", ("T7", "C5", "C3", "C1")),
+        ("CPZ", ("TP7", "CP5", "CP3", "CP1")),
+        ("PZ", ("P7", "P5", "P3", "P1")),
+        ("POZ", ("PO7", "PO5", "PO3")),
+    )
+    for mid, names in left_rows:
+        endpoint = pos[names[0]]
+        for i, name in enumerate(names):
+            pos[name] = _slerp(endpoint, pos[mid], i / (len(names) + 1))
+            if i > 0:
+                pos[_right(name)] = pos[name] * flip
     # AF3 halfway between a virtual AF7 ring point and a virtual AFZ.
     pos["AF3"] = _slerp(_unit(_RING_INCLINATION, -36.0), _unit(54.0, 0.0), 0.5)
-
-    mirrors = {
-        "F5": "F6", "F3": "F4", "F1": "F2",
-        "FC5": "FC6", "FC3": "FC4", "FC1": "FC2",
-        "C5": "C6", "C3": "C4", "C1": "C2",
-        "CP5": "CP6", "CP3": "CP4", "CP1": "CP2",
-        "P5": "P6", "P3": "P4", "P1": "P2",
-        "PO5": "PO6", "PO3": "PO4",
-        "AF3": "AF4",
-    }
-    for left, right in mirrors.items():
-        pos[right] = _mirror(pos[left])
+    pos["AF4"] = pos["AF3"] * flip
 
     # Cerebellar electrodes sit below and lateral to O1/O2.
     pos["CB1"] = _unit(84.0, -150.0)

@@ -39,24 +39,24 @@ def retained_count(k: float, n: int) -> int:
 class ModelParams:
     """Parameter groups: feature extractor, emotion head, domain head.
 
-    ``emotion`` holds [W, b] triples for three fully connected layers ending
+    ``emotion`` holds (W, b) pairs for three fully connected layers ending
     in the class logits; ``domain`` two layers ending in two domain logits.
     The groups are disjoint and together cover every trainable tensor.
     """
 
     gcn_weights: list[Tensor]
     w_att: Tensor
-    emotion: list[Tensor]
-    domain: list[Tensor]
+    emotion: list[tuple[Tensor, Tensor]]
+    domain: list[tuple[Tensor, Tensor]]
 
     def feature_params(self) -> list[Tensor]:
         return [*self.gcn_weights, self.w_att]
 
     def emotion_params(self) -> list[Tensor]:
-        return list(self.emotion)
+        return [t for layer in self.emotion for t in layer]
 
     def domain_params(self) -> list[Tensor]:
-        return list(self.domain)
+        return [t for layer in self.domain for t in layer]
 
     def all_params(self) -> list[Tensor]:
         return [*self.feature_params(), *self.emotion_params(), *self.domain_params()]
@@ -66,15 +66,15 @@ class ModelParams:
         for i, w in enumerate(self.gcn_weights):
             out[f"gcn.{i}.weight"] = w
         out["attention.weight"] = self.w_att
-        for group, tensors in (("emotion", self.emotion), ("domain", self.domain)):
-            for i in range(0, len(tensors), 2):
-                out[f"{group}.{i // 2}.weight"] = tensors[i]
-                out[f"{group}.{i // 2}.bias"] = tensors[i + 1]
+        for group, layers in (("emotion", self.emotion), ("domain", self.domain)):
+            for i, (w, b) in enumerate(layers):
+                out[f"{group}.{i}.weight"] = w
+                out[f"{group}.{i}.bias"] = b
         return out
 
     @property
     def n_classes(self) -> int:
-        return self.emotion[-1].shape[0]
+        return self.emotion[-1][1].shape[0]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
@@ -82,12 +82,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
 
 
-def _head(rng, widths: list[int]) -> list[Tensor]:
-    tensors: list[Tensor] = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        tensors.append(_glorot(rng, fan_in, fan_out))
-        tensors.append(Tensor(np.zeros(fan_out), requires_grad=True))
-    return tensors
+def _head(rng, widths: list[int]) -> list[tuple[Tensor, Tensor]]:
+    return [
+        (_glorot(rng, fan_in, fan_out), Tensor(np.zeros(fan_out), requires_grad=True))
+        for fan_in, fan_out in zip(widths[:-1], widths[1:])
+    ]
 
 
 def init_params(
@@ -111,7 +110,7 @@ def init_params(
 
 
 def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor, activation=ops.relu) -> Tensor:
-    """Graph propagation activation(L x W); pass activation=None for linear.
+    """Graph propagation activation(L x W).
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
@@ -120,7 +119,7 @@ def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor, activation=ops.relu) -> T
         out = ops.matmul(laplacian, ops.matmul(x, w))
     else:
         out = ops.matmul(ops.matmul(laplacian, x), w)
-    return out if activation is None else activation(out)
+    return activation(out)
 
 
 def attention_scores(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
@@ -199,13 +198,12 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
     return record_op("grad_reverse", (x,), x.data.copy(), backward)
 
 
-def _feed_forward(x: Tensor, layers: list[Tensor]) -> Tensor:
+def _feed_forward(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Fully connected stack with relu between layers, linear at the end."""
     out = x
-    pairs = [(layers[i], layers[i + 1]) for i in range(0, len(layers), 2)]
-    for depth, (w, b) in enumerate(pairs):
+    for depth, (w, b) in enumerate(layers):
         out = ops.add(ops.matmul(out, w), b)
-        if depth < len(pairs) - 1:
+        if depth < len(layers) - 1:
             out = ops.relu(out)
     return out
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -13,14 +12,6 @@ from .tensor import Tensor
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-
-@dataclass
-class AdamState:
-    """Per-parameter first and second moment estimates."""
-
-    m: np.ndarray
-    v: np.ndarray
 
 
 class Adam:
@@ -39,7 +30,9 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.state = [AdamState(np.zeros_like(p.data), np.zeros_like(p.data)) for p in self.params]
+        # Per-parameter first and second moment estimates.
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for p in self.params:
@@ -48,14 +41,14 @@ class Adam:
         self.t += 1
         correct1 = 1.0 - BETA1**self.t
         correct2 = 1.0 - BETA2**self.t
-        for p, s in zip(self.params, self.state):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = 0.0 if p.grad is None else p.grad
-            s.m *= BETA1
-            s.m += (1.0 - BETA1) * g
-            s.v *= BETA2
-            s.v += (1.0 - BETA2) * np.square(g)
-            m_hat = s.m / correct1
-            v_hat = s.v / correct2
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            m_hat = m / correct1
+            v_hat = v / correct2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:

@@ -130,23 +130,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     # Accumulate within this pass in a side table so repeated backward calls
     # stay independent, then fold the totals into the persistent buffers.
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    touched: dict[int, Tensor] = {id(loss): loss}
+    # Tensors hash by identity, so the table keys each tensor by itself.
+    flowing: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for entry in reversed(tape.entries):
-        upstream = flowing.get(id(entry.output))
+        upstream = flowing.get(entry.output)
         if upstream is None:
             continue  # not on the path from loss
         contributions = entry.backward(upstream)
         for tensor, contrib in zip(entry.inputs, contributions):
             if contrib is None or not tensor.requires_grad:
                 continue
-            key = id(tensor)
-            held = flowing.get(key)
-            flowing[key] = contrib if held is None else held + contrib
-            touched[key] = tensor
+            held = flowing.get(tensor)
+            flowing[tensor] = contrib if held is None else held + contrib
     adopted: set[int] = set()
-    for key, tensor in touched.items():
-        total = flowing[key]
+    for tensor, total in flowing.items():
         if tensor.grad is not None:
             tensor.grad += total
         elif total.base is None and total.flags.writeable and id(total) not in adopted:

@@ -329,8 +329,15 @@ class TestExtractFeatures:
 
     def test_tiny_window_rejected(self):
         rec = Recording(np.zeros((2, 400)), 200.0, "s", 0, 0)
-        with pytest.raises(ConfigError):
-            extract_features(rec, DEFAULT_BANDS, 0.001)
+        with pytest.raises(ConfigError, match="need >= 2"):
+            extract_features(rec, DEFAULT_BANDS, 0.005)
+
+    # 200.5, 200.8 and 1.5 samples at 200 Hz: rounding would give 200, 201 and 2.
+    @pytest.mark.parametrize("window_s", [1.0025, 1.004, 0.0075])
+    def test_fractional_sample_window_rejected(self, window_s):
+        rec = Recording(np.zeros((2, 400)), 200.0, "s", 0, 0)
+        with pytest.raises(ConfigError, match="whole number of samples"):
+            extract_features(rec, DEFAULT_BANDS, window_s)
 
     @pytest.mark.parametrize("window_s", [math.nan, math.inf])
     def test_non_finite_window_rejected(self, window_s):

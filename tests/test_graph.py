@@ -166,9 +166,18 @@ class TestLayout:
 
     def test_left_right_mirror_symmetry(self):
         layout = build_62_channel_layout()
-        f3 = layout.positions[layout.names.index("F3")]
-        f4 = layout.positions[layout.names.index("F4")]
-        np.testing.assert_allclose(f3 * [-1, 1, 1], f4, atol=1e-12)
+        pos = dict(zip(layout.names, layout.positions))
+        flip = np.array([-1.0, 1.0, 1.0])
+        # Interior electrodes and AF3/AF4 are mirrored exactly; the right ring
+        # electrodes are placed on their own, so they agree to rounding.
+        interior = [f"{row}{n}" for row in ("F", "FC", "C", "CP", "P") for n in (1, 3, 5)]
+        for left in [*interior, "PO3", "PO5", "AF3"]:
+            right = left[:-1] + str(int(left[-1]) + 1)
+            np.testing.assert_array_equal(pos[left] * flip, pos[right], err_msg=left)
+        ring = [("FP1", "FP2"), ("F7", "F8"), ("FT7", "FT8"), ("T7", "T8"), ("TP7", "TP8"),
+                ("P7", "P8"), ("PO7", "PO8"), ("O1", "O2"), ("CB1", "CB2")]
+        for left, right in ring:
+            np.testing.assert_allclose(pos[left] * flip, pos[right], rtol=0, atol=1e-12, err_msg=left)
 
     def test_median_edge_weight_near_documented_calibration(self):
         adj = build_adjacency(build_62_channel_layout(), sigma=5.0)

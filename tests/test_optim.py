@@ -18,8 +18,8 @@ def test_first_step_hand_evaluated():
     p.grad = np.array([1.0])
     opt.step()
     assert opt.t == 1
-    np.testing.assert_allclose(opt.state[0].m, [0.1], atol=1e-15)
-    np.testing.assert_allclose(opt.state[0].v, [0.001], atol=1e-15)
+    np.testing.assert_allclose(opt.m[0], [0.1], atol=1e-15)
+    np.testing.assert_allclose(opt.v[0], [0.001], atol=1e-15)
     np.testing.assert_allclose(p.data, [1.0 - 1e-3 / (1.0 + 1e-8)], atol=1e-15)
     assert abs(p.data[0] - 0.999) < 1e-6
 
@@ -73,7 +73,7 @@ def test_second_moment_stays_nonnegative():
     for g in (-3.0, 2.0, -0.1):
         p.grad = np.array([g])
         opt.step()
-        assert (opt.state[0].v >= 0).all()
+        assert (opt.v[0] >= 0).all()
     assert opt.t == 3
 
 
@@ -90,6 +90,6 @@ def test_wrong_grad_shape_leaves_no_half_applied_step():
     assert opt.t == 0
     np.testing.assert_array_equal(a.data, [1.0, 1.0])
     np.testing.assert_array_equal(b.data, [2.0, 3.0])
-    for state in opt.state:
-        np.testing.assert_array_equal(state.m, 0.0)
-        np.testing.assert_array_equal(state.v, 0.0)
+    for m, v in zip(opt.m, opt.v):
+        np.testing.assert_array_equal(m, 0.0)
+        np.testing.assert_array_equal(v, 0.0)
