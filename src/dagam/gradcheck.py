@@ -10,13 +10,13 @@ of such a point, since the two oracles legitimately disagree there.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError, GradCheckError
 from .ops import LOG_FLOOR
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, TapeEntry, Tensor, backward
 
 
 def _top_two_gap(values: np.ndarray, axis: int) -> float:
@@ -29,14 +29,24 @@ def _top_two_gap(values: np.ndarray, axis: int) -> float:
     return float((top - second).min())
 
 
+def op_entries(tape: Tape) -> Iterator[TapeEntry]:
+    """The recorded ops in order, with each block entry replaced by the ops inside it."""
+    for entry in tape.entries:
+        inner = entry.meta.get("tape") if entry.meta else None
+        if inner is None:
+            yield entry
+        else:
+            yield from op_entries(inner)
+
+
 def nonsmooth_margin(tape: Tape) -> float:
     """Distance from the recorded evaluation point to the nearest kink.
 
-    Covers relu kinks at zero, ties in max reductions and the log floor.
-    Infinite when every recorded op is smooth at its input.
+    Covers relu kinks at zero, ties in max reductions and the log floor,
+    inside blocks too. Infinite when every recorded op is smooth at its input.
     """
     closest = np.inf
-    for entry in tape.entries:
+    for entry in op_entries(tape):
         x = entry.inputs[0].data
         if entry.op == "relu":
             closest = min(closest, float(np.abs(x).min()))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DataError, DegenerateInputError, DimensionError
-from .tensor import Tensor, record_op
+from .tensor import Tensor, record_block, record_op
 
 DEFAULT_GCN_HIDDEN = (64, 64, 64)
 DEFAULT_EMOTION_HIDDEN = (64, 32)
@@ -110,11 +110,18 @@ def init_params(
 
 
 def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor, activation=ops.relu) -> Tensor:
-    """Graph propagation activation(L x W).
+    """Graph propagation activation(L x W), one tape entry when a tape is active.
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
+    Under a tape the layer is a block (``record_block``): the product and the
+    pre-activation never get a ``grad``, and their gradients are freed when
+    the layer's backward returns. With no tape it is the plain composition.
     """
+    return record_block("gcn_layer", _gcn_ops, (laplacian, x, w), activation)
+
+
+def _gcn_ops(laplacian: Tensor, x: Tensor, w: Tensor, activation) -> Tensor:
     if w.shape[-1] < x.shape[-1]:
         out = ops.matmul(laplacian, ops.matmul(x, w))
     else:

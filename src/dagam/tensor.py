@@ -6,6 +6,11 @@ are recorded as they run, the record is already topologically sorted and
 ``backward`` simply walks it in reverse. One training run owns one tape;
 the active-tape stack is thread-local so independent runs can execute
 concurrently.
+
+A block (:func:`record_block`) records a whole layer as one entry: its ops
+go on a private tape that the entry's backward replays. Tensors made inside
+a block never get a ``grad``; their gradients live only while the block's
+backward runs.
 """
 
 from __future__ import annotations
@@ -75,7 +80,8 @@ class TapeEntry(NamedTuple):
     # otherwise a fresh array or a view, never an array the closure keeps or
     # that is some tensor's data: ``backward`` may adopt it as a grad buffer.
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
-    # Op-specific details (the reduce axis) for tape introspection.
+    # Op-specific details for tape introspection: a max's reduce axis, a
+    # block's private tape under "tape".
     meta: dict | None
 
 
@@ -117,31 +123,63 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward,
     return out
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` buffers for every requires-grad tensor feeding ``loss``.
+def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...], *args) -> Tensor:
+    """``fn(*inputs, *args)``, recorded as one entry when a tape is active.
 
-    Gradients accumulate: calling backward again without clearing grads adds
-    a second, independent pass' contributions on top of the first. A tensor
-    without a buffer adopts its summed contribution as ``grad`` when that is
-    a fresh writeable array no other tensor adopted in this pass; views and
-    shared arrays are copied, so no two buffers alias.
+    With no tape active this is a plain call. Otherwise ``fn``'s ops are
+    recorded on a private tape, and the active tape gets one entry whose
+    backward replays them with a gradient table of its own and returns the
+    contributions to ``inputs`` alone. Every tensor ``fn`` reads that may
+    require a gradient must be one of ``inputs``.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # Accumulate within this pass in a side table so repeated backward calls
-    # stay independent, then fold the totals into the persistent buffers.
-    # Tensors hash by identity, so the table keys each tensor by itself.
-    flowing: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
+    if not _STATE.stack:
+        return fn(*inputs, *args)
+    with Tape() as inner:
+        out = fn(*inputs, *args)
+
+    def backward(g):
+        flowing = {out: g}
+        _propagate(inner.entries, flowing)
+        return tuple(flowing.get(t) for t in inputs)
+
+    return record_op(op, inputs, out.data, backward, {"tape": inner})
+
+
+def _propagate(entries: list[TapeEntry], flowing: dict[Tensor, np.ndarray]) -> None:
+    """Walk ``entries`` in reverse, summing each input's contributions into ``flowing``.
+
+    ``flowing`` maps a tensor to its gradient so far and must hold the
+    starting gradient. Tensors hash by identity, so it keys each by itself.
+    """
+    for entry in reversed(entries):
         upstream = flowing.get(entry.output)
         if upstream is None:
-            continue  # not on the path from loss
+            continue  # not on the path from the start
         contributions = entry.backward(upstream)
         for tensor, contrib in zip(entry.inputs, contributions):
             if contrib is None or not tensor.requires_grad:
                 continue
             held = flowing.get(tensor)
             flowing[tensor] = contrib if held is None else held + contrib
+
+
+def backward(loss: Tensor, tape: Tape) -> None:
+    """Populate ``grad`` buffers for every requires-grad tensor feeding ``loss``.
+
+    Tensors made inside a block (:func:`record_block`) get none: their
+    gradients are freed when the block's backward returns. Gradients
+    accumulate: calling backward again without clearing grads adds a second,
+    independent pass' contributions on top of the first. A tensor without a
+    buffer adopts its summed contribution as ``grad`` when that is a fresh
+    writeable array no other tensor adopted in this pass; views and shared
+    arrays are copied, so no two buffers alias.
+    """
+    if loss.data.size != 1:
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    # Accumulate within this pass in a side table so repeated backward calls
+    # stay independent, then fold the totals into the persistent buffers.
+    flowing: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    _propagate(tape.entries, flowing)
     adopted: set[int] = set()
     for tensor, total in flowing.items():
         if tensor.grad is not None:

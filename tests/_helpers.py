@@ -6,7 +6,7 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops
-from dagam.gradcheck import finite_difference
+from dagam.gradcheck import finite_difference, op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
 
@@ -42,7 +42,7 @@ def _model_margin(tape):
     relu margin itself), so both oracles agree there.
     """
     closest = np.inf
-    for entry in tape.entries:
+    for entry in op_entries(tape):
         x = entry.inputs[0].data
         if entry.op == "relu":
             closest = min(closest, float(np.abs(x).min()))

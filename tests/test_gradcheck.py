@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from dagam import Tensor
+from dagam import Tape, Tensor
 from dagam import ops
 from dagam.errors import ContractError
-from dagam.gradcheck import finite_difference, grad_check
+from dagam.gradcheck import finite_difference, grad_check, nonsmooth_margin
+from dagam.model import gcn_layer
 
 TOL = 1e-4
 
@@ -29,6 +30,20 @@ def test_relu_kink_rejected_by_precondition():
     x = Tensor([1.0, 0.0, -1.0], requires_grad=True)
     with pytest.raises(ContractError):
         grad_check(lambda x_: ops.reduce_sum(ops.relu(x_)), [x])
+
+
+def test_relu_kink_inside_a_gcn_layer_rejected():
+    # x W has an exact zero, so the layer's relu sits on its kink; the tape
+    # holds the layer as one block entry, which the check must look inside.
+    x = Tensor([[1.0, -1.0], [2.0, 0.5]], requires_grad=True)
+    w = Tensor([[1.0], [1.0]], requires_grad=True)
+    lap = Tensor(np.eye(2))
+    with Tape() as tape:
+        ops.reduce_sum(gcn_layer(lap, x, w))
+    assert [e.op for e in tape.entries] == ["gcn_layer", "sum"]
+    assert nonsmooth_margin(tape) == 0.0
+    with pytest.raises(ContractError):
+        grad_check(lambda x_, w_: ops.reduce_sum(gcn_layer(lap, x_, w_)), [x, w])
 
 
 def test_max_tie_rejected():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dagam import Tape, Tensor, backward
-from dagam import ops
+from dagam import model, ops, tensor
 from dagam.errors import ConfigError, DataError, DegenerateInputError, DimensionError
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
@@ -83,6 +83,102 @@ class TestGcnLayer:
         monkeypatch.setattr(ops, "matmul", recording)
         gcn_layer(lap, x, w)
         assert operands[0] == ((x, w) if first == "xw" else (lap, x))
+
+
+def plain_gcn_layer(laplacian, x, w, activation=ops.relu):
+    """gcn_layer as the bare composition of its ops, each recorded on its own."""
+    if w.shape[-1] < x.shape[-1]:
+        return activation(ops.matmul(laplacian, ops.matmul(x, w)))
+    return activation(ops.matmul(ops.matmul(laplacian, x), w))
+
+
+def batched_tiny(seed, batch=3):
+    """tiny_setup with a batch of ``batch`` samples and a loss mixing both heads."""
+    params, x, adjacency, laplacian = tiny_setup(seed)
+    rng = np.random.default_rng([seed, 9])
+    x = Tensor(rng.standard_normal((batch, *x.shape[1:])), requires_grad=True)
+    mix_emotion = Tensor(rng.standard_normal((batch, params.n_classes)))
+    mix_domain = Tensor(rng.standard_normal((batch, 2)))
+
+    def loss():
+        emotion, domain, _ = forward_batch(params, x, laplacian, adjacency, 0.5, lam=0.7)
+        return ops.add(
+            ops.reduce_sum(ops.mul(emotion, mix_emotion)), ops.reduce_sum(ops.mul(domain, mix_domain))
+        )
+
+    return params, x, loss
+
+
+class TestGcnBlock:
+    """Under a tape each gcn_layer call is one entry that keeps its inner gradients to itself."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_equal_the_op_by_op_tape_and_accumulate(self, seed, monkeypatch):
+        params, x, loss = batched_tiny(seed)
+        tensors = [x, *params.all_params()]
+
+        def grads():
+            for t in tensors:
+                t.grad = None
+            with Tape() as tape:
+                out = loss()
+            backward(out, tape)
+            once = [t.grad.copy() for t in tensors]
+            backward(out, tape)
+            return tape, once, [t.grad for t in tensors]
+
+        tape, blocked, twice = grads()
+        assert any(e.op == "gcn_layer" for e in tape.entries)
+        for g1, g2 in zip(blocked, twice):
+            np.testing.assert_array_equal(g2, 2.0 * g1)
+        monkeypatch.setattr(model, "gcn_layer", plain_gcn_layer)
+        tape, plain, _ = grads()
+        assert not any(e.op == "gcn_layer" for e in tape.entries)
+        for g_block, g_plain in zip(blocked, plain):
+            np.testing.assert_array_equal(g_block, g_plain)
+
+    def test_one_entry_per_layer_and_no_grad_inside(self):
+        params, _, loss = batched_tiny(0)
+        with Tape() as tape:
+            out = loss()
+        backward(out, tape)
+        blocks = [e for e in tape.entries if e.op == "gcn_layer"]
+        weights = [*params.gcn_weights, params.w_att]
+        assert len(blocks) == len(weights)
+        assert all(e.inputs[2] is w for e, w in zip(blocks, weights))
+        # The only matmuls left on the tape are the heads' own.
+        assert sum(e.op == "matmul" for e in tape.entries) == len(params.emotion) + len(params.domain)
+        for entry in blocks:
+            assert entry.output.grad is not None
+            inner = entry.meta["tape"].entries
+            assert [e.op for e in inner][-1] in ("relu", "tanh")
+            assert all(e.output.grad is None for e in inner)
+
+    @pytest.mark.parametrize("width", [2, 6])
+    def test_without_a_tape_it_is_the_plain_composition(self, width, monkeypatch):
+        rng = np.random.default_rng(width)
+        upper = np.triu(rng.uniform(0.1, 1.0, (5, 5)), 1)
+        lap = Tensor(renormalized_laplacian(upper + upper.T))
+        x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, width)), requires_grad=True)
+        expected = plain_gcn_layer(lap, x, w).data
+        monkeypatch.setattr(tensor, "Tape", None)  # a private tape would fail to open
+        out = gcn_layer(lap, x, w)
+        assert not out.requires_grad
+        np.testing.assert_array_equal(out.data, expected)
+
+    def test_shape_error_inside_a_block_leaves_the_outer_tape_active_and_empty(self):
+        # W narrows the features, so x W is recorded on the block's tape
+        # before L, sized for 3 nodes, fails against 4.
+        x = Tensor(np.ones((4, 2)), requires_grad=True)
+        w = Tensor(np.ones((2, 1)), requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(DimensionError):
+                gcn_layer(Tensor(np.eye(3)), x, w)
+            assert len(tape) == 0
+            ops.relu(x)
+        assert [e.op for e in tape.entries] == ["relu"]
+        assert not ops.relu(x).requires_grad  # no tape is left on the stack
 
 
 class TestAttentionScores:
