@@ -109,31 +109,44 @@ def init_params(
     return ModelParams(gcn_weights, w_att, emotion, domain)
 
 
-def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor, activation=ops.relu) -> Tensor:
-    """Graph propagation activation(L x W), one tape entry when a tape is active.
+def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
+    """Graph propagation relu(L x W), one tape entry when a tape is active.
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
-    Under a tape the layer is a block (``record_block``): the product and the
-    pre-activation never get a ``grad``, and their gradients are freed when
-    the layer's backward returns. With no tape it is the plain composition.
+    Under a tape the layer is a block (``record_block``): its inner tensors
+    never get a ``grad``, and their gradients are freed when the layer's
+    backward returns. relu overwrites the product it activates, which only
+    the block holds and no backward reads, so the layer keeps two
+    (..., N, G) buffers where the op-by-op composition keeps three. With no
+    tape it is the plain composition.
     """
-    return record_block("gcn_layer", _gcn_ops, (laplacian, x, w), activation)
+    return record_block("gcn_layer", _gcn_ops, (laplacian, x, w))
 
 
-def _gcn_ops(laplacian: Tensor, x: Tensor, w: Tensor, activation) -> Tensor:
+def _propagation(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
     if w.shape[-1] < x.shape[-1]:
-        out = ops.matmul(laplacian, ops.matmul(x, w))
-    else:
-        out = ops.matmul(ops.matmul(laplacian, x), w)
-    return activation(out)
+        return ops.matmul(laplacian, ops.matmul(x, w))
+    return ops.matmul(ops.matmul(laplacian, x), w)
+
+
+def _gcn_ops(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
+    return ops.relu(_propagation(laplacian, x, w), in_place=True)
+
+
+def _attention_ops(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
+    return ops.tanh(_propagation(laplacian, x, w_att))
 
 
 def attention_scores(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
-    """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1)."""
+    """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1).
+
+    Recorded as one block like ``gcn_layer``, but tanh keeps its input:
+    its backward reads it.
+    """
     if w_att.shape[-1] != 1:
         raise DimensionError(f"attention weight must have one output column, got {w_att.shape}")
-    return gcn_layer(laplacian, x, w_att, activation=ops.tanh)
+    return record_block("attention_scores", _attention_ops, (laplacian, x, w_att))
 
 
 def top_rank(scores: np.ndarray, k: float) -> np.ndarray:

@@ -53,7 +53,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: batch dimensions disagree, {a.shape} x {b.shape}") from None
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        ga = None
+        if a.requires_grad:
+            # BLAS runs g @ W^T faster on a C-contiguous copy of a 2-D W^T
+            # than on the transposed view, with the same result.
+            bt = np.ascontiguousarray(b.data.T) if b.ndim == 2 else np.swapaxes(b.data, -1, -2)
+            ga = _unbroadcast(g @ bt, a.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
@@ -84,13 +89,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record_op("mul", (a, b), out, backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); a NaN input stays NaN."""
+def relu(x: Tensor, *, in_place: bool = False) -> Tensor:
+    """max(x, 0); a NaN input stays NaN.
+
+    With ``in_place`` the result overwrites ``x.data`` and the output shares
+    that buffer. That is for a block's own intermediate that no recorded
+    backward reads, such as the product a GCN layer activates: relu's own
+    backward reads only the mask ``x > 0``, which relu(x) gives unchanged.
+    ``x.data`` must own its buffer and be writeable, else ContractError.
+    """
+    if in_place:
+        data = x.data
+        if data.base is not None or not data.flags.writeable:
+            raise ContractError("relu(in_place=True) needs a writeable array that owns its buffer")
+        out = np.maximum(data, 0.0, out=data)
+    else:
+        out = np.maximum(x.data, 0.0)
 
     def backward(g):
         return (g * (x.data > 0),)
 
-    return record_op("relu", (x,), np.maximum(x.data, 0.0), backward)
+    return record_op("relu", (x,), out, backward)
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -11,6 +11,10 @@ A block (:func:`record_block`) records a whole layer as one entry: its ops
 go on a private tape that the entry's backward replays. Tensors made inside
 a block never get a ``grad``; their gradients live only while the block's
 backward runs.
+
+Tensors are single-writer, with one exception: a block may overwrite its
+own intermediate when no recorded backward reads that intermediate, as the
+GCN layer's relu writes over the product it activates.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ class Tensor:
     ``data`` is stored row-major. ``grad`` is filled in by :func:`backward`
     and has the same shape as ``data`` whenever present. Tensors are
     single-writer: do not mutate ``data`` while a tape that saw the tensor
-    is still live.
+    is still live. The one exception is a block's own intermediate that no
+    recorded backward reads, which the block may overwrite (``ops.relu``
+    with ``in_place``).
     """
 
     __slots__ = ("data", "requires_grad", "grad")

@@ -6,7 +6,7 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops
-from dagam.gradcheck import finite_difference, op_entries
+from dagam.gradcheck import evaluated_inputs, finite_difference
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
 
@@ -42,8 +42,7 @@ def _model_margin(tape):
     relu margin itself), so both oracles agree there.
     """
     closest = np.inf
-    for entry in op_entries(tape):
-        x = entry.inputs[0].data
+    for entry, x in evaluated_inputs(tape):
         if entry.op == "relu":
             closest = min(closest, float(np.abs(x).min()))
         elif entry.op == "max":
@@ -58,6 +57,29 @@ def _model_margin(tape):
             if live.any():
                 closest = min(closest, float(gaps[live].min()))
     return closest
+
+
+def tape_data_bytes(tape):
+    """Bytes of the distinct data buffers the entries of ``tape`` reference, blocks opened.
+
+    Arrays that share a buffer (a view and its base, an in-place op's input
+    and output, a block's output and its inner one) count it once.
+    """
+    owners = {}
+
+    def visit(t):
+        for entry in t.entries:
+            for tensor in (*entry.inputs, entry.output):
+                owner = tensor.data
+                while isinstance(owner.base, np.ndarray):
+                    owner = owner.base
+                owners[id(owner)] = owner
+            inner = entry.meta.get("tape") if entry.meta else None
+            if inner is not None:
+                visit(inner)
+
+    visit(tape)
+    return sum(owner.nbytes for owner in owners.values())
 
 
 def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):

@@ -25,23 +25,19 @@ from dagam.model import (
     top_rank,
 )
 
-from _helpers import tiny_model_grad_error, tiny_setup
-
-
-def identity(x):
-    return x
+from _helpers import tape_data_bytes, tiny_model_grad_error, tiny_setup
 
 
 class TestGcnLayer:
     def test_identity_propagation(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2))
-        out = gcn_layer(Tensor(np.eye(3)), x, Tensor(np.eye(2)), activation=identity)
+        x = Tensor(np.arange(6.0).reshape(3, 2))  # non-negative, so relu keeps it
+        out = gcn_layer(Tensor(np.eye(3)), x, Tensor(np.eye(2)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_neighborhood_averaging(self):
         lap = Tensor(np.full((2, 2), 0.5))
         x = Tensor([[2.0], [4.0]])
-        out = gcn_layer(lap, x, Tensor([[1.0]]), activation=identity)
+        out = gcn_layer(lap, x, Tensor([[1.0]]))
         np.testing.assert_allclose(out.data, [[3.0], [3.0]])
 
     def test_gradient_check_on_weights_and_features(self):
@@ -54,7 +50,7 @@ class TestGcnLayer:
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
 
         def f(x_, w_):
-            return ops.reduce_sum(ops.tanh(gcn_layer(lap, x_, w_, activation=ops.tanh)))
+            return ops.reduce_sum(ops.tanh(gcn_layer(lap, x_, w_)))
 
         # Widths 2, 3 and 5 from 3 features take both associations: L (x W) and (L x) W.
         for width in (2, 3, 5):
@@ -66,8 +62,8 @@ class TestGcnLayer:
         rng = np.random.default_rng(width)
         lap = rng.standard_normal((5, 5))
         x, w = rng.standard_normal((3, 5, 4)), rng.standard_normal((4, width))
-        out = gcn_layer(Tensor(lap), Tensor(x), Tensor(w), activation=identity)
-        np.testing.assert_allclose(out.data, lap @ x @ w, rtol=0, atol=1e-12)
+        out = gcn_layer(Tensor(lap), Tensor(x), Tensor(w))
+        np.testing.assert_allclose(out.data, np.maximum(lap @ x @ w, 0.0), rtol=0, atol=1e-12)
 
 
     @pytest.mark.parametrize("width, first", [(1, "xw"), (4, "lx"), (6, "lx")])
@@ -85,11 +81,20 @@ class TestGcnLayer:
         assert operands[0] == ((x, w) if first == "xw" else (lap, x))
 
 
-def plain_gcn_layer(laplacian, x, w, activation=ops.relu):
-    """gcn_layer as the bare composition of its ops, each recorded on its own."""
+def plain_propagation(laplacian, x, w):
     if w.shape[-1] < x.shape[-1]:
-        return activation(ops.matmul(laplacian, ops.matmul(x, w)))
-    return activation(ops.matmul(ops.matmul(laplacian, x), w))
+        return ops.matmul(laplacian, ops.matmul(x, w))
+    return ops.matmul(ops.matmul(laplacian, x), w)
+
+
+def plain_gcn_layer(laplacian, x, w):
+    """gcn_layer as the bare composition of its ops, each recorded on its own, relu out of place."""
+    return ops.relu(plain_propagation(laplacian, x, w))
+
+
+def plain_attention_scores(laplacian, x, w_att):
+    """attention_scores as the bare composition of its ops."""
+    return ops.tanh(plain_propagation(laplacian, x, w_att))
 
 
 def batched_tiny(seed, batch=3):
@@ -110,7 +115,7 @@ def batched_tiny(seed, batch=3):
 
 
 class TestGcnBlock:
-    """Under a tape each gcn_layer call is one entry that keeps its inner gradients to itself."""
+    """Under a tape each GCN and attention layer is one entry that keeps its inner gradients to itself."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_equal_the_op_by_op_tape_and_accumulate(self, seed, monkeypatch):
@@ -125,33 +130,54 @@ class TestGcnBlock:
             backward(out, tape)
             once = [t.grad.copy() for t in tensors]
             backward(out, tape)
-            return tape, once, [t.grad for t in tensors]
+            return tape, [out.data, *once], [t.grad for t in tensors]
 
         tape, blocked, twice = grads()
-        assert any(e.op == "gcn_layer" for e in tape.entries)
-        for g1, g2 in zip(blocked, twice):
+        assert {"gcn_layer", "attention_scores"} <= {e.op for e in tape.entries}
+        for g1, g2 in zip(blocked[1:], twice):
             np.testing.assert_array_equal(g2, 2.0 * g1)
         monkeypatch.setattr(model, "gcn_layer", plain_gcn_layer)
+        monkeypatch.setattr(model, "attention_scores", plain_attention_scores)
         tape, plain, _ = grads()
-        assert not any(e.op == "gcn_layer" for e in tape.entries)
+        assert not {"gcn_layer", "attention_scores"} & {e.op for e in tape.entries}
         for g_block, g_plain in zip(blocked, plain):
             np.testing.assert_array_equal(g_block, g_plain)
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_a_layer_makes_two_output_sized_buffers(self, width):
+        # Width 3 narrows the 4 features, so the layer makes x W, then L (x W);
+        # width 4 makes L x, then (L x) W. relu writes over the second.
+        batch, nodes, features = 3, 5, 4
+        rng = np.random.default_rng(width)
+        lap = Tensor(rng.standard_normal((nodes, nodes)))
+        x = Tensor(rng.standard_normal((batch, nodes, features)), requires_grad=True)
+        w = Tensor(rng.standard_normal((features, width)), requires_grad=True)
+        given = lap.data.nbytes + x.data.nbytes + w.data.nbytes
+        output_sized = batch * nodes * width * x.data.itemsize
+        with Tape() as tape:
+            gcn_layer(lap, x, w)
+        (entry,) = tape.entries
+        assert tape_data_bytes(tape) == tape_data_bytes(entry.meta["tape"])
+        assert tape_data_bytes(tape) - given == 2 * output_sized
+        with Tape() as plain:
+            plain_gcn_layer(lap, x, w)
+        assert tape_data_bytes(plain) - given == 3 * output_sized
 
     def test_one_entry_per_layer_and_no_grad_inside(self):
         params, _, loss = batched_tiny(0)
         with Tape() as tape:
             out = loss()
         backward(out, tape)
-        blocks = [e for e in tape.entries if e.op == "gcn_layer"]
+        blocks = [e for e in tape.entries if e.op in ("gcn_layer", "attention_scores")]
+        assert [e.op for e in blocks] == ["gcn_layer"] * len(params.gcn_weights) + ["attention_scores"]
         weights = [*params.gcn_weights, params.w_att]
-        assert len(blocks) == len(weights)
         assert all(e.inputs[2] is w for e, w in zip(blocks, weights))
         # The only matmuls left on the tape are the heads' own.
         assert sum(e.op == "matmul" for e in tape.entries) == len(params.emotion) + len(params.domain)
         for entry in blocks:
             assert entry.output.grad is not None
             inner = entry.meta["tape"].entries
-            assert [e.op for e in inner][-1] in ("relu", "tanh")
+            assert inner[-1].op == ("relu" if entry.op == "gcn_layer" else "tanh")
             assert all(e.output.grad is None for e in inner)
 
     @pytest.mark.parametrize("width", [2, 6])
@@ -179,6 +205,20 @@ class TestGcnBlock:
             ops.relu(x)
         assert [e.op for e in tape.entries] == ["relu"]
         assert not ops.relu(x).requires_grad  # no tape is left on the stack
+
+
+def test_forward_batch_leaves_its_callers_arrays_as_they_were():
+    params, x, adjacency, laplacian = tiny_setup(4)
+    x = Tensor(np.random.default_rng(4).standard_normal((3, *x.shape[1:])), requires_grad=True)
+    callers = [x.data, laplacian.data, adjacency, *(p.data for p in params.all_params())]
+    before = [a.tobytes() for a in callers]
+    forward_batch(params, x, laplacian, adjacency, 0.5)
+    assert [a.tobytes() for a in callers] == before
+    with Tape() as tape:
+        emotion, domain, _ = forward_batch(params, x, laplacian, adjacency, 0.5)
+        loss = ops.add(ops.reduce_sum(ops.log(emotion)), ops.reduce_sum(ops.log(domain)))
+    backward(loss, tape)
+    assert [a.tobytes() for a in callers] == before
 
 
 class TestAttentionScores:
