@@ -55,10 +55,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         ga = None
         if a.requires_grad:
-            # BLAS runs g @ W^T faster on a C-contiguous copy of a 2-D W^T
-            # than on the transposed view, with the same result.
-            bt = np.ascontiguousarray(b.data.T) if b.ndim == 2 else np.swapaxes(b.data, -1, -2)
-            ga = _unbroadcast(g @ bt, a.shape)
+            # BLAS runs g @ W^T faster on a C-contiguous copy of W^T than on
+            # the transposed view, with the same result.
+            ga = _unbroadcast(g @ np.ascontiguousarray(np.swapaxes(b.data, -1, -2)), a.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops
-from dagam.gradcheck import evaluated_inputs, finite_difference
+from dagam.gradcheck import evaluated_inputs, finite_difference, op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
 
@@ -60,25 +60,18 @@ def _model_margin(tape):
 
 
 def tape_data_bytes(tape):
-    """Bytes of the distinct data buffers the entries of ``tape`` reference, blocks opened.
+    """Bytes of the distinct data buffers the ops of ``tape`` reference, blocks opened.
 
     Arrays that share a buffer (a view and its base, an in-place op's input
-    and output, a block's output and its inner one) count it once.
+    and output) count it once.
     """
     owners = {}
-
-    def visit(t):
-        for entry in t.entries:
-            for tensor in (*entry.inputs, entry.output):
-                owner = tensor.data
-                while isinstance(owner.base, np.ndarray):
-                    owner = owner.base
-                owners[id(owner)] = owner
-            inner = entry.meta.get("tape") if entry.meta else None
-            if inner is not None:
-                visit(inner)
-
-    visit(tape)
+    for entry in op_entries(tape):
+        for tensor in (*entry.inputs, entry.output):
+            owner = tensor.data
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            owners[id(owner)] = owner
     return sum(owner.nbytes for owner in owners.values())
 
 

@@ -157,7 +157,7 @@ class TestGcnBlock:
         with Tape() as tape:
             gcn_layer(lap, x, w)
         (entry,) = tape.entries
-        assert tape_data_bytes(tape) == tape_data_bytes(entry.meta["tape"])
+        assert entry.output.data is entry.meta["tape"].entries[-1].output.data
         assert tape_data_bytes(tape) - given == 2 * output_sized
         with Tape() as plain:
             plain_gcn_layer(lap, x, w)
