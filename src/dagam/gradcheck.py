@@ -30,13 +30,19 @@ def _top_two_gap(values: np.ndarray, axis: int) -> float:
 
 
 def op_entries(tape: Tape) -> Iterator[TapeEntry]:
-    """The recorded ops in order, with each block entry replaced by the ops inside it."""
+    """The recorded ops in order, with each block entry replaced by the ops inside it.
+
+    A block keeps no ops, so its function is replayed on its recorded inputs
+    onto a private tape, once per call.
+    """
     for entry in tape.entries:
-        inner = entry.meta.get("tape") if entry.meta else None
-        if inner is None:
+        fn = entry.meta.get("fn") if entry.meta else None
+        if fn is None:
             yield entry
-        else:
-            yield from op_entries(inner)
+            continue
+        with Tape() as inner:
+            fn(*entry.inputs)
+        yield from op_entries(inner)
 
 
 def evaluated_inputs(tape: Tape) -> Iterator[tuple[TapeEntry, np.ndarray]]:

@@ -110,18 +110,16 @@ def init_params(
 
 
 def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
-    """Graph propagation relu(L x W), one tape entry when a tape is active.
+    """Graph propagation relu(L x W), recorded op by op.
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
-    Under a tape the layer is a block (``record_block``): its inner tensors
-    never get a ``grad``, and their gradients are freed when the layer's
-    backward returns. relu overwrites the product it activates, which only
-    the block holds and no backward reads, so the layer keeps two
-    (..., N, G) buffers where the op-by-op composition keeps three. With no
-    tape it is the plain composition.
+    relu overwrites the fresh product it activates, which nothing else
+    reads, so a layer makes two (..., N, G) buffers where an out-of-place
+    relu makes three. ``forward_batch`` runs the layers inside one
+    checkpointed block, which keeps none of them.
     """
-    return record_block("gcn_layer", _gcn_ops, (laplacian, x, w))
+    return ops.relu(_propagation(laplacian, x, w), in_place=True)
 
 
 def _propagation(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
@@ -130,23 +128,26 @@ def _propagation(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
     return ops.matmul(ops.matmul(laplacian, x), w)
 
 
-def _gcn_ops(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
-    return ops.relu(_propagation(laplacian, x, w), in_place=True)
+def _gcn_stack(x: Tensor, laplacian: Tensor, *weights: Tensor) -> Tensor:
+    for w in weights:
+        x = gcn_layer(laplacian, x, w)
+    return x
 
 
-def _attention_ops(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
+def _attention_ops(x: Tensor, laplacian: Tensor, w_att: Tensor) -> Tensor:
     return ops.tanh(_propagation(laplacian, x, w_att))
 
 
 def attention_scores(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
     """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1).
 
-    Recorded as one block like ``gcn_layer``, but tanh keeps its input:
-    its backward reads it.
+    Under a tape this is one checkpointed block (``record_block``) with
+    ``x`` first: its backward recomputes the scores slice by slice, so the
+    outer product with w and the gradient of ``x`` stay slice-sized.
     """
     if w_att.shape[-1] != 1:
         raise DimensionError(f"attention weight must have one output column, got {w_att.shape}")
-    return record_block("attention_scores", _attention_ops, (laplacian, x, w_att))
+    return record_block("attention_scores", _attention_ops, (x, laplacian, w_att))
 
 
 def top_rank(scores: np.ndarray, k: float) -> np.ndarray:
@@ -256,9 +257,7 @@ def forward_batch(
     if not finite.all():
         position = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise DataError(f"forward_batch: feature {x.data[position]} at position {position}")
-    h = x
-    for w in params.gcn_weights:
-        h = gcn_layer(laplacian, h, w)
+    h = record_block("gcn_stack", _gcn_stack, (x, laplacian, *params.gcn_weights))
     scores = attention_scores(laplacian, h, params.w_att)
     pool = sag_pool(h, adjacency, scores, k)
     embedding = readout(pool.x_out)

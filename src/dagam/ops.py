@@ -92,10 +92,11 @@ def relu(x: Tensor, *, in_place: bool = False) -> Tensor:
     """max(x, 0); a NaN input stays NaN.
 
     With ``in_place`` the result overwrites ``x.data`` and the output shares
-    that buffer. That is for a block's own intermediate that no recorded
-    backward reads, such as the product a GCN layer activates: relu's own
-    backward reads only the mask ``x > 0``, which relu(x) gives unchanged.
-    ``x.data`` must own its buffer and be writeable, else ContractError.
+    that buffer. That is for a fresh product that only this relu reads, such
+    as the one a GCN layer activates: the matmul that made it reads its
+    operands, not its result, and relu's own backward reads only the mask
+    ``x > 0``, which relu(x) gives unchanged. ``x.data`` must own its buffer
+    and be writeable, else ContractError.
     """
     if in_place:
         data = x.data

@@ -7,14 +7,17 @@ are recorded as they run, the record is already topologically sorted and
 the active-tape stack is thread-local so independent runs can execute
 concurrently.
 
-A block (:func:`record_block`) records a whole layer as one entry: its ops
-go on a private tape that the entry's backward replays. Tensors made inside
-a block never get a ``grad``; their gradients live only while the block's
-backward runs.
+A block (:func:`record_block`) records a stretch of layers as one
+checkpointed entry that references only its inputs and its output. Its
+forward runs unrecorded; its backward recomputes the stretch on slices of
+``SLICE_ROWS`` samples, each on a private tape that is dropped once the
+slice's gradients are taken. No intermediate of a block outlives its
+forward, and tensors made inside a block never get a ``grad``.
 
-Tensors are single-writer, with one exception: a block may overwrite its
-own intermediate when no recorded backward reads that intermediate, as the
-GCN layer's relu writes over the product it activates.
+Tensors are single-writer, with one exception: an op may overwrite a fresh
+intermediate that only it reads and whose recorded backward needs nothing
+but the result, as the GCN layer's relu writes over the product it
+activates.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ class _State(threading.local):
 
 _STATE = _State()
 
+# Samples per recompute slice in a block's backward: a (32, 62, 64) float64
+# slab is 1 MB, so a slice's intermediates stay in a 4 MB L2 cache.
+SLICE_ROWS = 32
+
 
 class Tensor:
     """A dense n-dimensional float64 value with an optional gradient buffer.
@@ -43,9 +50,9 @@ class Tensor:
     ``data`` is stored row-major. ``grad`` is filled in by :func:`backward`
     and has the same shape as ``data`` whenever present. Tensors are
     single-writer: do not mutate ``data`` while a tape that saw the tensor
-    is still live. The one exception is a block's own intermediate that no
-    recorded backward reads, which the block may overwrite (``ops.relu``
-    with ``in_place``).
+    is still live; a block's backward recomputes from its inputs' data. The
+    one exception is a fresh product that only its activation reads, which
+    that activation may overwrite (``ops.relu`` with ``in_place``).
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -87,7 +94,7 @@ class TapeEntry(NamedTuple):
     # that is some tensor's data: ``backward`` may adopt it as a grad buffer.
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
     # Op-specific details for tape introspection: a max's reduce axis, a
-    # block's private tape under "tape".
+    # block's function under "fn" (its ops are ``fn(*inputs)`` replayed).
     meta: dict | None
 
 
@@ -129,26 +136,64 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward,
     return out
 
 
-def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...], *args) -> Tensor:
-    """``fn(*inputs, *args)``, recorded as one entry when a tape is active.
+def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...]) -> Tensor:
+    """``fn(*inputs)``, recorded as one checkpointed entry when a tape is active.
 
-    With no tape active this is a plain call. Otherwise ``fn``'s ops are
-    recorded on a private tape, and the active tape gets one entry whose
-    backward replays them with a gradient table of its own and returns the
-    contributions to ``inputs`` alone. Every tensor ``fn`` reads that may
-    require a gradient must be one of ``inputs``.
+    With no tape active this is a plain call. Otherwise ``fn`` runs with
+    recording paused, and the active tape gets one entry (when some input
+    requires a gradient) that references only ``inputs`` and the output. Its
+    backward recomputes ``fn`` on slices of ``SLICE_ROWS`` samples of the
+    first input, each on a private tape, and returns the contributions to
+    ``inputs``: the first input's slices fill one array, and every other
+    input's are summed in slice order.
+
+    The contract: the first input is (..., N, F) and the output (..., N, G)
+    with the same leading axes; ``fn`` is row-independent over the
+    flattened leading axes (a 2-D sample is one slice: the trailing pair is
+    never split), reads only ``inputs``, and is recomputed in backward, so
+    the inputs' data must not change before it runs.
     """
-    if not _STATE.stack:
-        return fn(*inputs, *args)
-    with Tape() as inner:
-        out = fn(*inputs, *args)
+    stack = _STATE.stack
+    if not stack:
+        return fn(*inputs)
+    _STATE.stack = []
+    try:
+        out = fn(*inputs)
+    finally:
+        _STATE.stack = stack
+    first = inputs[0]
+    if first.ndim < 2 or out.shape[:-2] != first.shape[:-2]:
+        raise ContractError(
+            f"{op}: a block maps (..., N, F) to (..., N, G) with the same leading axes, "
+            f"got {first.shape} -> {out.shape}"
+        )
 
     def backward(g):
-        flowing = {out: g}
-        _propagate(inner.entries, flowing)
-        return tuple(flowing.get(t) for t in inputs)
+        rows, rest = _sample_rows(first.data), inputs[1:]
+        upstream = _sample_rows(g)
+        grad_first = np.empty(first.shape) if first.requires_grad else None
+        grad_rows = None if grad_first is None else _sample_rows(grad_first)
+        totals: list[np.ndarray | None] = [None] * len(rest)
+        for lo in range(0, len(rows), SLICE_ROWS):
+            part = Tensor(rows[lo : lo + SLICE_ROWS], requires_grad=first.requires_grad)
+            with Tape() as tape:
+                part_out = fn(part, *rest)
+            flowing = {part_out: upstream[lo : lo + SLICE_ROWS]}
+            _propagate(tape.entries, flowing)
+            if grad_rows is not None:
+                grad_rows[lo : lo + SLICE_ROWS] = flowing.get(part, 0.0)
+            for i, t in enumerate(rest):
+                contrib = flowing.get(t)
+                if contrib is not None:
+                    totals[i] = contrib if totals[i] is None else totals[i] + contrib
+        return (grad_first, *totals)
 
-    return record_op(op, inputs, out.data, backward, {"tape": inner})
+    return record_op(op, inputs, out.data, backward, {"fn": fn})
+
+
+def _sample_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a stack of (N, F) samples: leading axes flattened, a 2-D sample as one."""
+    return a.reshape(-1, *a.shape[-2:])
 
 
 def _propagate(entries: list[TapeEntry], flowing: dict[Tensor, np.ndarray]) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops
-from dagam.gradcheck import evaluated_inputs, finite_difference, op_entries
+from dagam.gradcheck import evaluated_inputs, finite_difference
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
 
@@ -60,13 +60,14 @@ def _model_margin(tape):
 
 
 def tape_data_bytes(tape):
-    """Bytes of the distinct data buffers the ops of ``tape`` reference, blocks opened.
+    """Bytes of the distinct data buffers the entries of ``tape`` reference.
 
-    Arrays that share a buffer (a view and its base, an in-place op's input
-    and output) count it once.
+    A block entry counts its inputs and output only: it keeps nothing else,
+    and its ops are not replayed. Arrays that share a buffer (a view and its
+    base, an in-place op's input and output) count it once.
     """
     owners = {}
-    for entry in op_entries(tape):
+    for entry in tape.entries:
         for tensor in (*entry.inputs, entry.output):
             owner = tensor.data
             while isinstance(owner.base, np.ndarray):

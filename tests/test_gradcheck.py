@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dagam import Tape, Tensor
-from dagam import ops
+from dagam import model, ops
 from dagam.errors import ContractError
 from dagam.gradcheck import finite_difference, grad_check, nonsmooth_margin, op_entries
 from dagam.model import gcn_layer
+from dagam.tensor import record_block
 
 TOL = 1e-4
 
@@ -34,16 +35,21 @@ def test_relu_kink_rejected_by_precondition():
 
 def test_relu_kink_inside_a_gcn_layer_rejected():
     # x W has an exact zero, so the layer's relu sits on its kink; the tape
-    # holds the layer as one block entry, which the check must look inside.
+    # holds the GCN stack as one checkpointed entry that keeps no ops, which
+    # the check must replay to look inside.
     x = Tensor([[1.0, -1.0], [2.0, 0.5]], requires_grad=True)
     w = Tensor([[1.0], [1.0]], requires_grad=True)
     lap = Tensor(np.eye(2))
+
+    def f(x_, w_):
+        return ops.reduce_sum(record_block("gcn_stack", model._gcn_stack, (x_, lap, w_)))
+
     with Tape() as tape:
-        ops.reduce_sum(gcn_layer(lap, x, w))
-    assert [e.op for e in tape.entries] == ["gcn_layer", "sum"]
+        f(x, w)
+    assert [e.op for e in tape.entries] == ["gcn_stack", "sum"]
     assert nonsmooth_margin(tape) == 0.0
     with pytest.raises(ContractError):
-        grad_check(lambda x_, w_: ops.reduce_sum(gcn_layer(lap, x_, w_)), [x, w])
+        grad_check(f, [x, w])
 
 
 def test_in_place_relu_kink_distance_is_read_from_its_pre_activation():

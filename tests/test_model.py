@@ -1,6 +1,8 @@
 """GCN layers, attention pooling, readout, gradient reversal, full forward."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops, tensor
-from dagam.errors import ConfigError, DataError, DegenerateInputError, DimensionError
+from dagam.errors import ConfigError, ContractError, DataError, DegenerateInputError, DimensionError
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
     attention_scores,
@@ -24,6 +26,7 @@ from dagam.model import (
     sag_pool,
     top_rank,
 )
+from dagam.tensor import record_block
 
 from _helpers import tape_data_bytes, tiny_model_grad_error, tiny_setup
 
@@ -114,11 +117,57 @@ def batched_tiny(seed, batch=3):
     return params, x, loss
 
 
+def plain_blocks(op, fn, inputs):
+    """record_block as a plain call: the block's ops go on the tape one by one."""
+    return fn(*inputs)
+
+
+def stack_setup(rng, shape, widths):
+    """A random Laplacian, input (..., N, F) and GCN weights F -> widths[0] -> ..."""
+    nodes, features = shape[-2:]
+    upper = np.triu(rng.uniform(0.1, 1.0, (nodes, nodes)), 1)
+    lap = Tensor(renormalized_laplacian(upper + upper.T))
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    sizes = [features, *widths]
+    weights = [Tensor(rng.standard_normal(io), requires_grad=True) for io in zip(sizes[:-1], sizes[1:])]
+    return lap, x, weights
+
+
+def made_inside_blocks(monkeypatch):
+    """Collect every tensor the ops make while a block's function runs, forward or recompute."""
+    made, inside = [], []
+    record = ops.record_op
+
+    def recording(op, inputs, out_data, backward, meta=None):
+        out = record(op, inputs, out_data, backward, meta)
+        if inside:
+            made.append(out)
+        return out
+
+    def marked(fn):
+        def run(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    monkeypatch.setattr(ops, "record_op", recording)
+    monkeypatch.setattr(model, "_gcn_stack", marked(model._gcn_stack))
+    monkeypatch.setattr(model, "_attention_ops", marked(model._attention_ops))
+    return made
+
+
 class TestGcnBlock:
-    """Under a tape each GCN and attention layer is one entry that keeps its inner gradients to itself."""
+    """Under a tape the GCN stack and the attention scores are each one
+    checkpointed entry that keeps nothing inside and recomputes in backward."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_equal_the_op_by_op_tape_and_accumulate(self, seed, monkeypatch):
+        # A batch of 3 is one recompute slice, so even the weights' sums run
+        # in the op-by-op order.
         params, x, loss = batched_tiny(seed)
         tensors = [x, *params.all_params()]
 
@@ -133,20 +182,21 @@ class TestGcnBlock:
             return tape, [out.data, *once], [t.grad for t in tensors]
 
         tape, blocked, twice = grads()
-        assert {"gcn_layer", "attention_scores"} <= {e.op for e in tape.entries}
+        assert {"gcn_stack", "attention_scores"} <= {e.op for e in tape.entries}
         for g1, g2 in zip(blocked[1:], twice):
             np.testing.assert_array_equal(g2, 2.0 * g1)
+        monkeypatch.setattr(model, "record_block", plain_blocks)
         monkeypatch.setattr(model, "gcn_layer", plain_gcn_layer)
-        monkeypatch.setattr(model, "attention_scores", plain_attention_scores)
         tape, plain, _ = grads()
-        assert not {"gcn_layer", "attention_scores"} & {e.op for e in tape.entries}
+        assert not {"gcn_stack", "attention_scores"} & {e.op for e in tape.entries}
         for g_block, g_plain in zip(blocked, plain):
             np.testing.assert_array_equal(g_block, g_plain)
 
     @pytest.mark.parametrize("width", [3, 4])
     def test_a_layer_makes_two_output_sized_buffers(self, width):
         # Width 3 narrows the 4 features, so the layer makes x W, then L (x W);
-        # width 4 makes L x, then (L x) W. relu writes over the second.
+        # width 4 makes L x, then (L x) W. relu writes over the second. In a
+        # block the tape keeps only the output.
         batch, nodes, features = 3, 5, 4
         rng = np.random.default_rng(width)
         lap = Tensor(rng.standard_normal((nodes, nodes)))
@@ -156,55 +206,166 @@ class TestGcnBlock:
         output_sized = batch * nodes * width * x.data.itemsize
         with Tape() as tape:
             gcn_layer(lap, x, w)
-        (entry,) = tape.entries
-        assert entry.output.data is entry.meta["tape"].entries[-1].output.data
+        assert [e.op for e in tape.entries] == ["matmul", "matmul", "relu"]
+        relu = tape.entries[-1]
+        assert relu.output.data is relu.inputs[0].data
         assert tape_data_bytes(tape) - given == 2 * output_sized
         with Tape() as plain:
             plain_gcn_layer(lap, x, w)
         assert tape_data_bytes(plain) - given == 3 * output_sized
+        with Tape() as blocked:
+            record_block("gcn_stack", model._gcn_stack, (x, lap, w))
+        assert tape_data_bytes(blocked) - given == output_sized
 
-    def test_one_entry_per_layer_and_no_grad_inside(self):
-        params, _, loss = batched_tiny(0)
+    def test_one_stack_entry_and_no_grad_inside(self, monkeypatch):
+        made = made_inside_blocks(monkeypatch)
+        params, x, loss = batched_tiny(0, batch=40)  # two recompute slices
         with Tape() as tape:
             out = loss()
-        backward(out, tape)
-        blocks = [e for e in tape.entries if e.op in ("gcn_layer", "attention_scores")]
-        assert [e.op for e in blocks] == ["gcn_layer"] * len(params.gcn_weights) + ["attention_scores"]
-        weights = [*params.gcn_weights, params.w_att]
-        assert all(e.inputs[2] is w for e, w in zip(blocks, weights))
+        blocks = [e for e in tape.entries if e.meta and "fn" in e.meta]
+        assert [e.op for e in blocks] == ["gcn_stack", "attention_scores"]
+        stack, attention = blocks
+        assert stack.inputs == (x, stack.inputs[1], *params.gcn_weights)
+        assert attention.inputs == (stack.output, stack.inputs[1], params.w_att)
         # The only matmuls left on the tape are the heads' own.
         assert sum(e.op == "matmul" for e in tape.entries) == len(params.emotion) + len(params.domain)
-        for entry in blocks:
-            assert entry.output.grad is not None
-            inner = entry.meta["tape"].entries
-            assert inner[-1].op == ("relu" if entry.op == "gcn_layer" else "tanh")
-            assert all(e.output.grad is None for e in inner)
+        forward_made = len(made)
+        backward(out, tape)
+        assert len(made) > forward_made  # the recompute ran
+        assert stack.output.grad is not None and attention.output.grad is not None
+        assert all(t.grad is None for t in made)
+
+    def test_the_tape_holds_no_array_made_inside_a_block(self, monkeypatch):
+        made = made_inside_blocks(monkeypatch)
+        _, _, loss = batched_tiny(1, batch=40)
+        with Tape() as tape:
+            out = loss()
+        arrays = [weakref.ref(t.data) for t in made]
+        outputs = [e.output.data for e in tape.entries if e.op in ("gcn_stack", "attention_scores")]
+        made.clear()
+
+        def held():
+            gc.collect()
+            return {id(a()) for a in arrays if a() is not None}
+
+        # Only the blocks' outputs survive: relu and tanh made those buffers.
+        assert held() == {id(a) for a in outputs}
+        backward(out, tape)
+        assert held() == {id(a) for a in outputs}
 
     @pytest.mark.parametrize("width", [2, 6])
     def test_without_a_tape_it_is_the_plain_composition(self, width, monkeypatch):
         rng = np.random.default_rng(width)
-        upper = np.triu(rng.uniform(0.1, 1.0, (5, 5)), 1)
-        lap = Tensor(renormalized_laplacian(upper + upper.T))
-        x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, width)), requires_grad=True)
-        expected = plain_gcn_layer(lap, x, w).data
+        lap, x, weights = stack_setup(rng, (3, 5, 4), (width, 3))
+        h = x
+        for w in weights:
+            h = plain_gcn_layer(lap, h, w)
         monkeypatch.setattr(tensor, "Tape", None)  # a private tape would fail to open
-        out = gcn_layer(lap, x, w)
+        out = record_block("gcn_stack", model._gcn_stack, (x, lap, *weights))
         assert not out.requires_grad
-        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.data, h.data)
 
     def test_shape_error_inside_a_block_leaves_the_outer_tape_active_and_empty(self):
-        # W narrows the features, so x W is recorded on the block's tape
-        # before L, sized for 3 nodes, fails against 4.
+        # The Laplacian, sized for 3 nodes, fails against 4 in the block's
+        # forward, which runs with recording paused.
         x = Tensor(np.ones((4, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
+        stack = tensor._STATE.stack
         with Tape() as tape:
             with pytest.raises(DimensionError):
-                gcn_layer(Tensor(np.eye(3)), x, w)
+                record_block("gcn_stack", model._gcn_stack, (x, Tensor(np.eye(3)), w))
+            assert tensor._STATE.stack is stack and stack == [tape]
             assert len(tape) == 0
             ops.relu(x)
         assert [e.op for e in tape.entries] == ["relu"]
         assert not ops.relu(x).requires_grad  # no tape is left on the stack
+
+    def test_shape_error_in_a_block_recompute_leaves_the_tape_stack_as_it_was(self):
+        x = Tensor(np.ones((40, 4, 2)), requires_grad=True)
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        lap = Tensor(np.eye(4))
+        with Tape() as tape:
+            loss = ops.reduce_sum(record_block("gcn_stack", model._gcn_stack, (x, lap, w)))
+        lap.data = np.eye(3)  # the recompute reads it and fails in its first slice
+        stack = tensor._STATE.stack
+        with Tape() as outer:
+            with pytest.raises(DimensionError):
+                backward(loss, tape)
+            assert tensor._STATE.stack is stack and stack == [outer]
+            ops.relu(x)
+        assert [e.op for e in outer.entries] == ["relu"]
+        with pytest.raises(DimensionError):
+            backward(loss, tape)
+        assert tensor._STATE.stack is stack and not stack
+        assert x.grad is None and w.grad is None
+
+
+class TestCheckpointSlicing:
+    """A block's backward recomputes in slices of SLICE_ROWS flattened samples."""
+
+    CASES = {
+        "batch_70": ((70, 5, 3), [(32, 5, 3), (32, 5, 3), (6, 5, 3)]),
+        "4d": ((2, 35, 5, 3), [(32, 5, 3), (32, 5, 3), (6, 5, 3)]),
+        "2d_sample": ((40, 3), [(1, 40, 3)]),  # 40 nodes: never split
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("block", ["gcn_stack", "attention_scores"])
+    def test_matches_the_op_by_op_composition(self, block, case):
+        shape, slices = self.CASES[case]
+        assert tensor.SLICE_ROWS == 32
+        rng = np.random.default_rng(len(shape) + len(slices))
+        # Widths 4 then 2: one layer widens the 3 features, one narrows.
+        lap, x, params = stack_setup(rng, shape, (4, 2) if block == "gcn_stack" else (1,))
+        fn = model._gcn_stack if block == "gcn_stack" else model._attention_ops
+        seen = []
+
+        def recorded_fn(first, *rest):
+            seen.append(first.shape)
+            return fn(first, *rest)
+
+        out_shape = fn(x, lap, *params).shape
+        mix = rng.standard_normal(out_shape)
+        tensors = [x, *params]
+
+        def run(make, x_in, mix_in):
+            for t in (x_in, *params):
+                t.grad = None
+            with Tape() as tape:
+                out = make(x_in)
+                loss = ops.reduce_sum(ops.mul(out, Tensor(mix_in)))
+            backward(loss, tape)
+            return tape, loss, out.data, [t.grad.copy() for t in (x_in, *params)]
+
+        tape, loss, out, grads = run(lambda x_: record_block(block, recorded_fn, (x_, lap, *params)), x, mix)
+        assert seen == [shape, *slices]
+        backward(loss, tape)
+        for t, g in zip(tensors, grads):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+        _, _, plain_out, plain = run(lambda x_: fn(x_, lap, *params), x, mix)
+        np.testing.assert_array_equal(out, plain_out)
+        np.testing.assert_array_equal(grads[0], plain[0])
+        for g, p in zip(grads[1:], plain[1:]):
+            assert np.abs(g - p).max() <= 1e-12 * np.abs(p).max()
+
+        rows = x.data.reshape(-1, *shape[-2:])
+        mix_rows = mix.reshape(-1, *out_shape[-2:])
+        summed = None
+        for lo in range(0, len(rows), tensor.SLICE_ROWS):
+            part = Tensor(rows[lo : lo + tensor.SLICE_ROWS], requires_grad=True)
+            *_, part_grads = run(lambda x_: fn(x_, lap, *params), part, mix_rows[lo : lo + tensor.SLICE_ROWS])
+            summed = part_grads[1:] if summed is None else [a + b for a, b in zip(summed, part_grads[1:])]
+        for g, s in zip(grads[1:], summed):
+            np.testing.assert_array_equal(g, s)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4, 2)])
+    def test_a_function_that_changes_the_leading_axes_rejected(self, shape):
+        x = Tensor(np.ones(shape), requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(ContractError, match="same leading axes"):
+                record_block("sum_samples", lambda x_: ops.reduce_sum(x_, axis=0), (x,))
+        assert len(tape) == 0
 
 
 def test_forward_batch_leaves_its_callers_arrays_as_they_were():
