@@ -100,7 +100,7 @@ def finite_difference(
     """Central-difference gradient of the scalar ``f()`` with respect to each tensor.
 
     Each coordinate is moved by +h and -h in place, ``f`` is called at both
-    points, and the coordinate is restored before the next one. Coordinates
+    points, and the coordinate is restored, even if ``f`` raises. Coordinates
     are written through ``t.data`` itself, so a non-contiguous array (a
     transpose, a strided slice) is perturbed where ``f`` reads it.
     """
@@ -109,11 +109,13 @@ def finite_difference(
         g = np.zeros_like(t.data)
         for idx in np.ndindex(t.shape):
             saved = t.data[idx]
-            t.data[idx] = saved + h
-            upper = f()
-            t.data[idx] = saved - h
-            lower = f()
-            t.data[idx] = saved
+            try:
+                t.data[idx] = saved + h
+                upper = f()
+                t.data[idx] = saved - h
+                lower = f()
+            finally:
+                t.data[idx] = saved
             g[idx] = (upper - lower) / (2.0 * h)
         grads.append(g)
     return grads
@@ -149,7 +151,7 @@ def grad_check(
             j = int(nan[0])
             raise GradCheckError(
                 f"NaN gradient for input {i} at flat index {j} "
-                f"(analytic={exact.flat[j]!r}, numeric={approx.flat[j]!r})"
+                f"(analytic={float(exact.flat[j])}, numeric={float(approx.flat[j])})"
             )
         err = np.abs(exact - approx) / np.maximum(1.0, np.abs(approx))
         # fmax skips the NaN that an infinite analytic and numeric pair gives.

@@ -134,20 +134,15 @@ def _gcn_stack(x: Tensor, laplacian: Tensor, *weights: Tensor) -> Tensor:
     return x
 
 
-def _attention_ops(x: Tensor, laplacian: Tensor, w_att: Tensor) -> Tensor:
-    return ops.tanh(_propagation(laplacian, x, w_att))
-
-
 def attention_scores(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
-    """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1).
+    """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1), recorded op by op.
 
-    Under a tape this is one checkpointed block (``record_block``) with
-    ``x`` first: its backward recomputes the scores slice by slice, so the
-    outer product with w and the gradient of ``x`` stay slice-sized.
+    Its intermediates are single-column, (..., N, 1) each, so a checkpoint
+    would save no memory; the tape keeps them.
     """
     if w_att.shape[-1] != 1:
         raise DimensionError(f"attention weight must have one output column, got {w_att.shape}")
-    return record_block("attention_scores", _attention_ops, (x, laplacian, w_att))
+    return ops.tanh(_propagation(laplacian, x, w_att))
 
 
 def top_rank(scores: np.ndarray, k: float) -> np.ndarray:

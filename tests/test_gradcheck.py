@@ -5,7 +5,7 @@ import pytest
 
 from dagam import Tape, Tensor
 from dagam import model, ops
-from dagam.errors import ContractError
+from dagam.errors import ContractError, GradCheckError
 from dagam.gradcheck import finite_difference, grad_check, nonsmooth_margin, op_entries
 from dagam.model import gcn_layer
 from dagam.tensor import record_block
@@ -130,6 +130,31 @@ def test_non_contiguous_inputs_are_perturbed_in_place(view):
     np.testing.assert_allclose(numeric, 2.0 * before, rtol=1e-8)
     np.testing.assert_array_equal(x.data, before)
     assert grad_check(lambda x_: ops.reduce_sum(ops.mul(x_, x_)), [x]) < TOL
+
+
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["upper_probe", "lower_probe"])
+def test_a_raising_probe_leaves_the_tensor_as_it_was(failing_call):
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    before = x.data.tobytes()
+    calls = []
+
+    def f():
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise RuntimeError("probe failed")
+        return float(x.data.sum())
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        finite_difference(f, [x])
+    assert x.data.tobytes() == before
+
+
+def test_a_nan_gradient_raises_naming_its_input_and_position():
+    x = Tensor([np.nan, 1.0], requires_grad=True)
+    message = "NaN gradient for input 0 at flat index 0 (analytic=nan, numeric=nan)"
+    with pytest.raises(GradCheckError) as caught:
+        grad_check(lambda x_: ops.reduce_sum(ops.mul(x_, x_)), [x])
+    assert str(caught.value) == message
 
 
 def _away_from_zero(rng, shape, low=0.2, high=1.5):

@@ -95,11 +95,6 @@ def plain_gcn_layer(laplacian, x, w):
     return ops.relu(plain_propagation(laplacian, x, w))
 
 
-def plain_attention_scores(laplacian, x, w_att):
-    """attention_scores as the bare composition of its ops."""
-    return ops.tanh(plain_propagation(laplacian, x, w_att))
-
-
 def batched_tiny(seed, batch=3):
     """tiny_setup with a batch of ``batch`` samples and a loss mixing both heads."""
     params, x, adjacency, laplacian = tiny_setup(seed)
@@ -134,7 +129,7 @@ def stack_setup(rng, shape, widths):
 
 
 def made_inside_blocks(monkeypatch):
-    """Collect every tensor the ops make while a block's function runs, forward or recompute."""
+    """Collect every tensor the ops make while the GCN stack block runs, forward or recompute."""
     made, inside = [], []
     record = ops.record_op
 
@@ -156,13 +151,12 @@ def made_inside_blocks(monkeypatch):
 
     monkeypatch.setattr(ops, "record_op", recording)
     monkeypatch.setattr(model, "_gcn_stack", marked(model._gcn_stack))
-    monkeypatch.setattr(model, "_attention_ops", marked(model._attention_ops))
     return made
 
 
 class TestGcnBlock:
-    """Under a tape the GCN stack and the attention scores are each one
-    checkpointed entry that keeps nothing inside and recomputes in backward."""
+    """Under a tape the GCN stack is one checkpointed entry that keeps nothing
+    inside and recomputes in backward; it is the model's only block."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_equal_the_op_by_op_tape_and_accumulate(self, seed, monkeypatch):
@@ -182,13 +176,13 @@ class TestGcnBlock:
             return tape, [out.data, *once], [t.grad for t in tensors]
 
         tape, blocked, twice = grads()
-        assert {"gcn_stack", "attention_scores"} <= {e.op for e in tape.entries}
+        assert [e.op for e in tape.entries if e.meta and "fn" in e.meta] == ["gcn_stack"]
         for g1, g2 in zip(blocked[1:], twice):
             np.testing.assert_array_equal(g2, 2.0 * g1)
         monkeypatch.setattr(model, "record_block", plain_blocks)
         monkeypatch.setattr(model, "gcn_layer", plain_gcn_layer)
         tape, plain, _ = grads()
-        assert not {"gcn_stack", "attention_scores"} & {e.op for e in tape.entries}
+        assert "gcn_stack" not in {e.op for e in tape.entries}
         for g_block, g_plain in zip(blocked, plain):
             np.testing.assert_array_equal(g_block, g_plain)
 
@@ -222,17 +216,21 @@ class TestGcnBlock:
         params, x, loss = batched_tiny(0, batch=40)  # two recompute slices
         with Tape() as tape:
             out = loss()
-        blocks = [e for e in tape.entries if e.meta and "fn" in e.meta]
-        assert [e.op for e in blocks] == ["gcn_stack", "attention_scores"]
-        stack, attention = blocks
+        (stack,) = [e for e in tape.entries if e.meta and "fn" in e.meta]
+        assert stack.op == "gcn_stack"
         assert stack.inputs == (x, stack.inputs[1], *params.gcn_weights)
-        assert attention.inputs == (stack.output, stack.inputs[1], params.w_att)
-        # The only matmuls left on the tape are the heads' own.
-        assert sum(e.op == "matmul" for e in tape.entries) == len(params.emotion) + len(params.domain)
+        # The attention's ops follow on the caller's tape: w_att narrows the
+        # features, so the scores are tanh(L (h w_att)).
+        xw, lxw, scores = tape.entries[1:4]
+        assert [e.op for e in (xw, lxw, scores)] == ["matmul", "matmul", "tanh"]
+        assert xw.inputs == (stack.output, params.w_att)
+        assert lxw.inputs == (stack.inputs[1], xw.output) and scores.inputs == (lxw.output,)
+        # The other matmuls on the tape are the heads' own.
+        assert sum(e.op == "matmul" for e in tape.entries) == 2 + len(params.emotion) + len(params.domain)
         forward_made = len(made)
         backward(out, tape)
         assert len(made) > forward_made  # the recompute ran
-        assert stack.output.grad is not None and attention.output.grad is not None
+        assert stack.output.grad is not None and scores.output.grad is not None
         assert all(t.grad is None for t in made)
 
     def test_the_tape_holds_no_array_made_inside_a_block(self, monkeypatch):
@@ -241,17 +239,17 @@ class TestGcnBlock:
         with Tape() as tape:
             out = loss()
         arrays = [weakref.ref(t.data) for t in made]
-        outputs = [e.output.data for e in tape.entries if e.op in ("gcn_stack", "attention_scores")]
+        (output,) = [e.output.data for e in tape.entries if e.op == "gcn_stack"]
         made.clear()
 
         def held():
             gc.collect()
             return {id(a()) for a in arrays if a() is not None}
 
-        # Only the blocks' outputs survive: relu and tanh made those buffers.
-        assert held() == {id(a) for a in outputs}
+        # Only the stack's output survives: its last relu made that buffer.
+        assert held() == {id(output)}
         backward(out, tape)
-        assert held() == {id(a) for a in outputs}
+        assert held() == {id(output)}
 
     @pytest.mark.parametrize("width", [2, 6])
     def test_without_a_tape_it_is_the_plain_composition(self, width, monkeypatch):
@@ -301,7 +299,7 @@ class TestGcnBlock:
 
 
 class TestCheckpointSlicing:
-    """A block's backward recomputes in slices of SLICE_ROWS flattened samples."""
+    """The stack block's backward recomputes in slices of SLICE_ROWS flattened samples."""
 
     CASES = {
         "batch_70": ((70, 5, 3), [(32, 5, 3), (32, 5, 3), (6, 5, 3)]),
@@ -310,14 +308,13 @@ class TestCheckpointSlicing:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("block", ["gcn_stack", "attention_scores"])
-    def test_matches_the_op_by_op_composition(self, block, case):
+    def test_matches_the_op_by_op_composition(self, case):
         shape, slices = self.CASES[case]
         assert tensor.SLICE_ROWS == 32
         rng = np.random.default_rng(len(shape) + len(slices))
         # Widths 4 then 2: one layer widens the 3 features, one narrows.
-        lap, x, params = stack_setup(rng, shape, (4, 2) if block == "gcn_stack" else (1,))
-        fn = model._gcn_stack if block == "gcn_stack" else model._attention_ops
+        lap, x, params = stack_setup(rng, shape, (4, 2))
+        fn = model._gcn_stack
         seen = []
 
         def recorded_fn(first, *rest):
@@ -337,7 +334,9 @@ class TestCheckpointSlicing:
             backward(loss, tape)
             return tape, loss, out.data, [t.grad.copy() for t in (x_in, *params)]
 
-        tape, loss, out, grads = run(lambda x_: record_block(block, recorded_fn, (x_, lap, *params)), x, mix)
+        tape, loss, out, grads = run(
+            lambda x_: record_block("gcn_stack", recorded_fn, (x_, lap, *params)), x, mix
+        )
         assert seen == [shape, *slices]
         backward(loss, tape)
         for t, g in zip(tensors, grads):

@@ -1,5 +1,5 @@
 """The package's public surface: exports resolve, errors share one base, no import is unread,
-no private function is left without a caller."""
+no private module-level function, class or variable is left unread."""
 
 import ast
 from pathlib import Path
@@ -56,22 +56,31 @@ def test_no_imported_name_is_unread():
     assert [hit for path in files for hit in _unread_imports(path)] == []
 
 
+def _module_level_names(tree: ast.Module):
+    """Names a module defines at its top level: functions, classes and assigned variables."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_private_function_is_referenced():
+    # Classes and variables too: a private name that no code in src/ reads is dead.
     src = Path(__file__).resolve().parents[1] / "src"
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.rglob("*.py"))]
     assert trees
     private = {
-        node.name
+        name
         for tree in trees
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        for name in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__")
     }
-    referenced = {
+    read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
-    assert sorted(private - referenced) == []
+    assert sorted(private - read) == []
