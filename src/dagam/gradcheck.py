@@ -45,28 +45,6 @@ def op_entries(tape: Tape) -> Iterator[TapeEntry]:
         yield from op_entries(inner)
 
 
-def evaluated_inputs(tape: Tape) -> Iterator[tuple[TapeEntry, np.ndarray]]:
-    """Each entry of ``op_entries`` with the data its first input held when it ran.
-
-    An in-place relu (its output data is its input's data) has overwritten
-    that input. Its pre-activation is recomputed from the matmul entry that
-    produced the input, which costs one product per such relu; an in-place
-    relu on anything but a recorded matmul raises ContractError.
-    """
-    producers: dict[Tensor, TapeEntry] = {}
-    for entry in op_entries(tape):
-        source = entry.inputs[0]
-        x = source.data
-        if entry.op == "relu" and entry.output.data is x:
-            producer = producers.get(source)
-            if producer is None or producer.op != "matmul":
-                raise ContractError("an in-place relu's input must come from a recorded matmul")
-            a, b = producer.inputs
-            x = a.data @ b.data
-        producers[entry.output] = entry
-        yield entry, x
-
-
 def nonsmooth_margin(tape: Tape) -> float:
     """Distance from the recorded evaluation point to the nearest kink.
 
@@ -74,7 +52,8 @@ def nonsmooth_margin(tape: Tape) -> float:
     inside blocks too. Infinite when every recorded op is smooth at its input.
     """
     closest = np.inf
-    for entry, x in evaluated_inputs(tape):
+    for entry in op_entries(tape):
+        x = entry.inputs[0].data
         if entry.op == "relu":
             closest = min(closest, float(np.abs(x).min()))
         elif entry.op == "max":

@@ -114,12 +114,10 @@ def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
-    relu overwrites the fresh product it activates, which nothing else
-    reads, so a layer makes two (..., N, G) buffers where an out-of-place
-    relu makes three. ``forward_batch`` runs the layers inside one
-    checkpointed block, which keeps none of them.
+    ``forward_batch`` runs the layers inside one checkpointed block, which
+    keeps none of their intermediates.
     """
-    return ops.relu(_propagation(laplacian, x, w), in_place=True)
+    return ops.relu(_propagation(laplacian, x, w))
 
 
 def _propagation(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:

@@ -88,23 +88,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record_op("mul", (a, b), out, backward)
 
 
-def relu(x: Tensor, *, in_place: bool = False) -> Tensor:
-    """max(x, 0); a NaN input stays NaN.
-
-    With ``in_place`` the result overwrites ``x.data`` and the output shares
-    that buffer. That is for a fresh product that only this relu reads, such
-    as the one a GCN layer activates: the matmul that made it reads its
-    operands, not its result, and relu's own backward reads only the mask
-    ``x > 0``, which relu(x) gives unchanged. ``x.data`` must own its buffer
-    and be writeable, else ContractError.
-    """
-    if in_place:
-        data = x.data
-        if data.base is not None or not data.flags.writeable:
-            raise ContractError("relu(in_place=True) needs a writeable array that owns its buffer")
-        out = np.maximum(data, 0.0, out=data)
-    else:
-        out = np.maximum(x.data, 0.0)
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0) in a fresh array; a NaN input stays NaN."""
+    out = np.maximum(x.data, 0.0)
 
     def backward(g):
         return (g * (x.data > 0),)
@@ -173,7 +159,10 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
-    """Max reduction along integer ``axis``; the gradient goes to the first maximal element."""
+    """Max reduction along integer ``axis``; the gradient goes to the first maximal element.
+
+    A slice holding NaN reduces to NaN and sends its gradient to its first NaN.
+    """
     if axis is None:
         raise DimensionError("reduce_max needs an integer axis")
     axis = _check_reduce_axis(x, axis)
@@ -181,7 +170,7 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
 
     def backward(g):
         grad = np.zeros_like(x.data)
-        first = np.expand_dims(np.argmax(x.data == np.expand_dims(out, axis), axis=axis), axis)
+        first = np.expand_dims(np.argmax(x.data, axis=axis), axis)
         np.put_along_axis(grad, first, np.expand_dims(g, axis), axis=axis)
         return (grad,)
 

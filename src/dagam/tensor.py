@@ -14,10 +14,8 @@ Its forward runs unrecorded; its backward recomputes the layers on slices of
 gradients are taken. No intermediate of a block outlives its forward, and
 tensors made inside a block never get a ``grad``.
 
-Tensors are single-writer, with one exception: an op may overwrite a fresh
-intermediate that only it reads and whose recorded backward needs nothing
-but the result, as the GCN layer's relu writes over the product it
-activates.
+Tensors are single-writer: no op writes into its inputs' data, so a recorded
+tensor keeps the values it was recorded with.
 """
 
 from __future__ import annotations
@@ -50,9 +48,7 @@ class Tensor:
     ``data`` is stored row-major. ``grad`` is filled in by :func:`backward`
     and has the same shape as ``data`` whenever present. Tensors are
     single-writer: do not mutate ``data`` while a tape that saw the tensor
-    is still live; a block's backward recomputes from its inputs' data. The
-    one exception is a fresh product that only its activation reads, which
-    that activation may overwrite (``ops.relu`` with ``in_place``).
+    is still live; a block's backward recomputes from its inputs' data.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -88,10 +84,11 @@ class TapeEntry(NamedTuple):
     op: str
     inputs: tuple[Tensor, ...]
     output: Tensor
-    # Maps the upstream gradient to per-input contributions. A contribution
-    # is None for an input without requires_grad (nothing reads it), and is
-    # otherwise a fresh array or a view, never an array the closure keeps or
-    # that is some tensor's data: ``backward`` may adopt it as a grad buffer.
+    # Maps the upstream gradient to per-input contributions. For an input
+    # without requires_grad it may be None or an array (``mul`` computes one
+    # for a constant factor); ``_propagate`` drops either unread. Any other is
+    # a fresh array or a view, never an array the closure keeps or that is
+    # some tensor's data: ``backward`` may adopt it as a grad buffer.
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
     # Op-specific details for tape introspection: a max's reduce axis, a
     # block's function under "fn" (its ops are ``fn(*inputs)`` replayed).

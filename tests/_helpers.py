@@ -6,7 +6,7 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops
-from dagam.gradcheck import evaluated_inputs, finite_difference
+from dagam.gradcheck import finite_difference, op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
 
@@ -42,7 +42,8 @@ def _model_margin(tape):
     relu margin itself), so both oracles agree there.
     """
     closest = np.inf
-    for entry, x in evaluated_inputs(tape):
+    for entry in op_entries(tape):
+        x = entry.inputs[0].data
         if entry.op == "relu":
             closest = min(closest, float(np.abs(x).min()))
         elif entry.op == "max":
@@ -64,7 +65,7 @@ def tape_data_bytes(tape):
 
     A block entry counts its inputs and output only: it keeps nothing else,
     and its ops are not replayed. Arrays that share a buffer (a view and its
-    base, an in-place op's input and output) count it once.
+    base) count it once.
     """
     owners = {}
     for entry in tape.entries:

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from dagam import Tape, Tensor, backward
 from dagam import model, ops, tensor
 from dagam.errors import ConfigError, ContractError, DataError, DegenerateInputError, DimensionError
+from dagam.gradcheck import op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
     attention_scores,
@@ -91,7 +92,7 @@ def plain_propagation(laplacian, x, w):
 
 
 def plain_gcn_layer(laplacian, x, w):
-    """gcn_layer as the bare composition of its ops, each recorded on its own, relu out of place."""
+    """gcn_layer as the bare composition of its ops, written out apart from the model's own code."""
     return ops.relu(plain_propagation(laplacian, x, w))
 
 
@@ -187,10 +188,10 @@ class TestGcnBlock:
             np.testing.assert_array_equal(g_block, g_plain)
 
     @pytest.mark.parametrize("width", [3, 4])
-    def test_a_layer_makes_two_output_sized_buffers(self, width):
+    def test_a_layer_makes_three_output_sized_buffers(self, width):
         # Width 3 narrows the 4 features, so the layer makes x W, then L (x W);
-        # width 4 makes L x, then (L x) W. relu writes over the second. In a
-        # block the tape keeps only the output.
+        # width 4 makes L x, then (L x) W. relu makes the third. In a block the
+        # tape keeps only the output.
         batch, nodes, features = 3, 5, 4
         rng = np.random.default_rng(width)
         lap = Tensor(rng.standard_normal((nodes, nodes)))
@@ -201,9 +202,7 @@ class TestGcnBlock:
         with Tape() as tape:
             gcn_layer(lap, x, w)
         assert [e.op for e in tape.entries] == ["matmul", "matmul", "relu"]
-        relu = tape.entries[-1]
-        assert relu.output.data is relu.inputs[0].data
-        assert tape_data_bytes(tape) - given == 2 * output_sized
+        assert tape_data_bytes(tape) - given == 3 * output_sized
         with Tape() as plain:
             plain_gcn_layer(lap, x, w)
         assert tape_data_bytes(plain) - given == 3 * output_sized
@@ -379,6 +378,19 @@ def test_forward_batch_leaves_its_callers_arrays_as_they_were():
         loss = ops.add(ops.reduce_sum(ops.log(emotion)), ops.reduce_sum(ops.log(domain)))
     backward(loss, tape)
     assert [a.tobytes() for a in callers] == before
+
+
+def test_no_recorded_op_writes_over_its_inputs():
+    # Walked op by op, so the GCN stack's inside is covered too. An op that
+    # wrote over an input would return that input's buffer.
+    _, _, loss = batched_tiny(2, batch=40)
+    with Tape() as tape:
+        loss()
+    entries = list(op_entries(tape))
+    assert {"relu", "matmul", "max", "gather_rows"} <= {e.op for e in entries}
+    for entry in entries:
+        for t in entry.inputs:
+            assert not np.shares_memory(entry.output.data, t.data), entry.op
 
 
 class TestAttentionScores:

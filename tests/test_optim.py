@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dagam import Tensor
+from dagam import Tape, Tensor, backward, ops
 from dagam.errors import ConfigError, DimensionError
 from dagam.optim import Adam
 
@@ -93,3 +93,26 @@ def test_wrong_grad_shape_leaves_no_half_applied_step():
     for m, v in zip(opt.m, opt.v):
         np.testing.assert_array_equal(m, 0.0)
         np.testing.assert_array_equal(v, 0.0)
+
+
+def test_zero_grad_clears_every_grad_so_the_next_backward_is_a_single_pass():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((5, 3)))
+    params = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((3, 2), (2,))]
+    opt = Adam(params, lr=0.01)
+
+    def run_backward(w, b):
+        with Tape() as tape:
+            loss = ops.reduce_sum(ops.tanh(ops.add(ops.matmul(x, w), b)))
+        backward(loss, tape)
+
+    run_backward(*params)
+    opt.step()
+    opt.zero_grad()
+    assert all(p.grad is None for p in params)
+    run_backward(*params)
+    # A fresh copy of the stepped parameters has seen exactly one backward.
+    fresh = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    run_backward(*fresh)
+    for p, f in zip(params, fresh):
+        np.testing.assert_array_equal(p.grad, f.grad)

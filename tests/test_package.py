@@ -51,7 +51,9 @@ def _unread_imports(path: Path) -> list[str]:
 
 def test_no_imported_name_is_unread():
     root = Path(__file__).resolve().parents[1]
-    files = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    files = sorted(
+        [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py"), *(root / "bench").glob("*.py")]
+    )
     assert files
     assert [hit for path in files for hit in _unread_imports(path)] == []
 
