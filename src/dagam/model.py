@@ -114,8 +114,9 @@ def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
-    ``forward_batch`` runs the layers inside one checkpointed block, which
-    keeps none of their intermediates.
+    ``forward_batch`` runs the layers inside one checkpointed block, on
+    slices of ``tensor.SLICE_ROWS`` samples, which keeps none of their
+    intermediates past a slice.
     """
     return ops.relu(_propagation(laplacian, x, w))
 
@@ -238,6 +239,10 @@ def forward_batch(
     of the attention scores at ratio ``k``; ``lam`` is the reversal strength
     in front of the domain head, which can be skipped entirely for ablations
     and evaluation.
+
+    The GCN stack runs on slices of ``tensor.SLICE_ROWS`` samples, with or
+    without a tape, so its layer buffers take one slice's memory at any
+    batch size. The attention, pooling and heads run on the whole batch.
 
     A NaN or infinite feature raises DataError naming its first position.
     Only ``x`` is scanned: the parameters are not, since scanning them on

@@ -7,12 +7,12 @@ are recorded as they run, the record is already topologically sorted and
 the active-tape stack is thread-local so independent runs can execute
 concurrently.
 
-A block (:func:`record_block`), here the model's GCN stack, records layers
+A block (:func:`record_block`), here the model's GCN stack, runs its layers
+on slices of ``SLICE_ROWS`` samples, with or without a tape, and records them
 as one checkpointed entry that references only its inputs and its output.
-Its forward runs unrecorded; its backward recomputes the layers on slices of
-``SLICE_ROWS`` samples, each on a private tape dropped once the slice's
-gradients are taken. No intermediate of a block outlives its forward, and
-tensors made inside a block never get a ``grad``.
+Its backward recomputes the layers on the same slices, each on a private tape
+dropped once the slice's gradients are taken. No intermediate of a block
+outlives its slice, and tensors made inside a block never get a ``grad``.
 
 Tensors are single-writer: no op writes into its inputs' data, so a recorded
 tensor keeps the values it was recorded with.
@@ -37,8 +37,10 @@ class _State(threading.local):
 
 _STATE = _State()
 
-# Samples per recompute slice in a block's backward. A B=256 train step (1 BLAS
-# thread) times the same with 8, 16 or 32, ~20% slower with 64, ~40% unsliced.
+# Samples per slice of a block, in its forward and its backward recompute, so a
+# block's memory is its output plus one slice's intermediates at any batch size.
+# A B=256 train step (1 BLAS thread) times the same with 8, 16 or 32, ~20%
+# slower with 64, ~40% with an unsliced recompute.
 SLICE_ROWS = 32
 
 
@@ -134,40 +136,45 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward,
 
 
 def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...]) -> Tensor:
-    """``fn(*inputs)``, recorded as one checkpointed entry when a tape is active.
+    """``fn(*inputs)`` run in slices, recorded as one checkpointed entry when a tape is active.
 
     It pays where ``fn``'s intermediates outweigh its output, as in the GCN
-    stack. With no tape active this is a plain call. Otherwise ``fn`` runs
-    with recording paused, and the active tape gets one entry (when some
-    input requires a gradient) that references only ``inputs`` and the
-    output. Its backward recomputes ``fn`` on slices of ``SLICE_ROWS``
-    samples of the first input, each on a private tape, and returns the
+    stack. ``fn`` runs with recording paused on slices of ``SLICE_ROWS``
+    samples of the first input, and each slice's result is written into one
+    output array, so the forward holds the output plus one slice's
+    intermediates whether a tape is active or not. A first input of at most
+    ``SLICE_ROWS`` samples is one plain call, whose result is the output.
+    The active tape gets one entry (when some input requires a gradient)
+    that references only ``inputs`` and the output. Its backward recomputes
+    ``fn`` on the same slices, each on a private tape, and returns the
     contributions to ``inputs``: the first input's slices fill one array,
     and every other input's are summed in slice order.
 
-    The contract: the first input is (..., N, F) and the output (..., N, G)
-    with the same leading axes; ``fn`` is row-independent over the
-    flattened leading axes (a 2-D sample is one slice: the trailing pair is
-    never split), reads only ``inputs``, and is recomputed in backward, so
-    the inputs' data must not change before it runs.
+    The contract, checked on each slice's output before it is written: the
+    first input is (..., N, F) and the output (..., N, G) with the same
+    leading axes. ``fn`` must also be row-independent over the flattened
+    leading axes (a 2-D sample is one slice: the trailing pair is never
+    split), read only ``inputs``, and, since it is recomputed in backward,
+    see the inputs' data unchanged until then.
     """
-    stack = _STATE.stack
-    if not stack:
-        return fn(*inputs)
-    _STATE.stack = []
+    first, rest = inputs[0], inputs[1:]
+    rows = _sample_rows(first.data)
+    stack, _STATE.stack = _STATE.stack, []
     try:
-        out = fn(*inputs)
+        if len(rows) <= SLICE_ROWS:
+            out = _leading_axes_kept(op, first, fn(*inputs))
+        else:
+            for lo in range(0, len(rows), SLICE_ROWS):
+                part = Tensor(rows[lo : lo + SLICE_ROWS])
+                part_out = _leading_axes_kept(op, part, fn(part, *rest))
+                if lo == 0:
+                    out = np.empty(first.shape[:-2] + part_out.shape[-2:])
+                _sample_rows(out)[lo : lo + SLICE_ROWS] = part_out
+                del part_out  # not held while the next slice runs
     finally:
         _STATE.stack = stack
-    first = inputs[0]
-    if first.ndim < 2 or out.shape[:-2] != first.shape[:-2]:
-        raise ContractError(
-            f"{op}: a block maps (..., N, F) to (..., N, G) with the same leading axes, "
-            f"got {first.shape} -> {out.shape}"
-        )
 
     def backward(g):
-        rows, rest = _sample_rows(first.data), inputs[1:]
         upstream = _sample_rows(g)
         grad_first = np.empty(first.shape) if first.requires_grad else None
         grad_rows = None if grad_first is None else _sample_rows(grad_first)
@@ -186,7 +193,17 @@ def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...])
                     totals[i] = contrib if totals[i] is None else totals[i] + contrib
         return (grad_first, *totals)
 
-    return record_op(op, inputs, out.data, backward, {"fn": fn})
+    return record_op(op, inputs, out, backward, {"fn": fn})
+
+
+def _leading_axes_kept(op: str, x: Tensor, out: Tensor) -> np.ndarray:
+    """``out.data``, once ``out`` keeps the leading axes of the block input ``x``."""
+    if x.ndim < 2 or out.shape[:-2] != x.shape[:-2]:
+        raise ContractError(
+            f"{op}: a block maps (..., N, F) to (..., N, G) with the same leading axes, "
+            f"got {x.shape} -> {out.shape}"
+        )
+    return out.data
 
 
 def _sample_rows(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared fixtures-in-code for model-level gradient verification."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,21 @@ def tape_data_bytes(tape):
                 owner = owner.base
             owners[id(owner)] = owner
     return sum(owner.nbytes for owner in owners.values())
+
+
+def traced_peak_bytes(call):
+    """The most bytes ``call()`` held allocated at once, as ``tracemalloc`` counts them.
+
+    numpy reports its data buffers to ``tracemalloc``, so the peak counts the
+    arrays ``call`` makes, its result included; what was allocated before the
+    call is not counted.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):

@@ -1,5 +1,6 @@
 """GCN layers, attention pooling, readout, gradient reversal, full forward."""
 
+import contextlib
 import gc
 import math
 import weakref
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,7 +30,7 @@ from dagam.model import (
 )
 from dagam.tensor import record_block
 
-from _helpers import tape_data_bytes, tiny_model_grad_error, tiny_setup
+from _helpers import tape_data_bytes, tiny_model_grad_error, tiny_setup, traced_peak_bytes
 
 
 class TestGcnLayer:
@@ -234,33 +235,38 @@ class TestGcnBlock:
 
     def test_the_tape_holds_no_array_made_inside_a_block(self, monkeypatch):
         made = made_inside_blocks(monkeypatch)
-        _, _, loss = batched_tiny(1, batch=40)
-        with Tape() as tape:
-            out = loss()
-        arrays = [weakref.ref(t.data) for t in made]
-        (output,) = [e.output.data for e in tape.entries if e.op == "gcn_stack"]
-        made.clear()
+        # One slice: only the stack's output survives, and its last relu made
+        # that buffer. Two slices: each slice's result was written into the
+        # block's own output array, so nothing made inside survives.
+        for batch, survives in ((3, True), (40, False)):
+            _, _, loss = batched_tiny(1, batch=batch)
+            with Tape() as tape:
+                out = loss()
+            arrays = [weakref.ref(t.data) for t in made]
+            (output,) = [e.output.data for e in tape.entries if e.op == "gcn_stack"]
+            made.clear()
 
-        def held():
-            gc.collect()
-            return {id(a()) for a in arrays if a() is not None}
+            def held():
+                gc.collect()
+                return {id(a()) for a in arrays if a() is not None}
 
-        # Only the stack's output survives: its last relu made that buffer.
-        assert held() == {id(output)}
-        backward(out, tape)
-        assert held() == {id(output)}
+            survivors = {id(output)} if survives else set()
+            assert held() == survivors
+            backward(out, tape)
+            assert held() == survivors
 
     @pytest.mark.parametrize("width", [2, 6])
     def test_without_a_tape_it_is_the_plain_composition(self, width, monkeypatch):
         rng = np.random.default_rng(width)
-        lap, x, weights = stack_setup(rng, (3, 5, 4), (width, 3))
-        h = x
-        for w in weights:
-            h = plain_gcn_layer(lap, h, w)
         monkeypatch.setattr(tensor, "Tape", None)  # a private tape would fail to open
-        out = record_block("gcn_stack", model._gcn_stack, (x, lap, *weights))
-        assert not out.requires_grad
-        np.testing.assert_array_equal(out.data, h.data)
+        for shape in ((3, 5, 4), (70, 5, 4)):  # one slice, then three
+            lap, x, weights = stack_setup(rng, shape, (width, 3))
+            h = x
+            for w in weights:
+                h = plain_gcn_layer(lap, h, w)
+            out = record_block("gcn_stack", model._gcn_stack, (x, lap, *weights))
+            assert not out.requires_grad
+            np.testing.assert_array_equal(out.data, h.data)
 
     def test_shape_error_inside_a_block_leaves_the_outer_tape_active_and_empty(self):
         # The Laplacian, sized for 3 nodes, fails against 4 in the block's
@@ -298,17 +304,21 @@ class TestGcnBlock:
 
 
 class TestCheckpointSlicing:
-    """The stack block's backward recomputes in slices of SLICE_ROWS flattened samples."""
+    """The stack block runs its forward and its backward recompute in slices of
+    SLICE_ROWS flattened samples."""
 
+    SLICES_OF_70 = [(32, 5, 3), (32, 5, 3), (6, 5, 3)]
+    # The input shape, the slices the forward runs, the slices the backward recomputes.
     CASES = {
-        "batch_70": ((70, 5, 3), [(32, 5, 3), (32, 5, 3), (6, 5, 3)]),
-        "4d": ((2, 35, 5, 3), [(32, 5, 3), (32, 5, 3), (6, 5, 3)]),
-        "2d_sample": ((40, 3), [(1, 40, 3)]),  # 40 nodes: never split
+        "batch_70": ((70, 5, 3), SLICES_OF_70, SLICES_OF_70),
+        "4d": ((2, 35, 5, 3), SLICES_OF_70, SLICES_OF_70),
+        # One slice: the forward is a plain call. 40 nodes: never split.
+        "2d_sample": ((40, 3), [(40, 3)], [(1, 40, 3)]),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_the_op_by_op_composition(self, case):
-        shape, slices = self.CASES[case]
+        shape, forward_slices, slices = self.CASES[case]
         assert tensor.SLICE_ROWS == 32
         rng = np.random.default_rng(len(shape) + len(slices))
         # Widths 4 then 2: one layer widens the 3 features, one narrows.
@@ -336,7 +346,7 @@ class TestCheckpointSlicing:
         tape, loss, out, grads = run(
             lambda x_: record_block("gcn_stack", recorded_fn, (x_, lap, *params)), x, mix
         )
-        assert seen == [shape, *slices]
+        assert seen == [*forward_slices, *slices]
         backward(loss, tape)
         for t, g in zip(tensors, grads):
             np.testing.assert_array_equal(t.grad, 2.0 * g)
@@ -357,13 +367,33 @@ class TestCheckpointSlicing:
         for g, s in zip(grads[1:], summed):
             np.testing.assert_array_equal(g, s)
 
-    @pytest.mark.parametrize("shape", [(4,), (3, 4, 2)])
+    @pytest.mark.parametrize("shape", [(4,), (3, 4, 2), (40, 4, 2)])
     def test_a_function_that_changes_the_leading_axes_rejected(self, shape):
         x = Tensor(np.ones(shape), requires_grad=True)
-        with Tape() as tape:
-            with pytest.raises(ContractError, match="same leading axes"):
-                record_block("sum_samples", lambda x_: ops.reduce_sum(x_, axis=0), (x,))
-        assert len(tape) == 0
+        calls = []
+
+        def sum_samples(x_):
+            calls.append(x_.shape)
+            return ops.reduce_sum(x_, axis=0)
+
+        for taped in (True, False):
+            calls.clear()
+            tape = Tape()
+            with tape if taped else contextlib.nullcontext():
+                with pytest.raises(ContractError, match="same leading axes"):
+                    record_block("sum_samples", sum_samples, (x,))
+            assert len(tape) == 0
+            assert len(calls) == 1  # rejected on the first slice, before any is written
+
+    def test_a_forward_without_a_tape_holds_the_output_and_one_slice(self):
+        # Equal widths make every layer buffer output-sized; 8 slices make a
+        # slice's buffers an eighth of that. Unsliced, the forward held about
+        # three output-sized buffers at once: a layer's input, product and relu.
+        rng = np.random.default_rng(3)
+        lap, x, weights = stack_setup(rng, (8 * tensor.SLICE_ROWS, 16, 16), (16, 16, 16))
+        output = x.data.nbytes
+        peak = traced_peak_bytes(lambda: record_block("gcn_stack", model._gcn_stack, (x, lap, *weights)))
+        assert peak < output + 4 * output // 8
 
 
 def test_forward_batch_leaves_its_callers_arrays_as_they_were():
@@ -650,14 +680,25 @@ class TestForward:
         np.testing.assert_array_equal(first, second)
 
     @settings(max_examples=40, deadline=None)
-    @given(size=st.integers(1, 6), seed=st.integers(0, 2**16))
-    def test_batched_matches_per_sample(self, size, seed):
+    @given(
+        lead=st.one_of(
+            st.tuples(st.integers(1, 6)),
+            # The GCN stack runs these in more than one slice of SLICE_ROWS
+            # flattened samples, the last ones across a leading axis.
+            st.tuples(st.integers(tensor.SLICE_ROWS + 1, 2 * tensor.SLICE_ROWS + 6)),
+            st.tuples(st.integers(2, 3), st.integers(17, 24)),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lead=(tensor.SLICE_ROWS + 1,), seed=0)
+    @example(lead=(2, 20), seed=1)
+    def test_batched_matches_per_sample(self, lead, seed):
         params, _, adjacency, laplacian = tiny_setup(seed)
-        batch = np.random.default_rng([seed, 1]).standard_normal((size, 4, 3))
+        batch = np.random.default_rng([seed, 1]).standard_normal((*lead, 4, 3))
         emotion_b, domain_b, pool_b = forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
-        for i in range(size):
+        for i in np.ndindex(*lead):
             emotion_i, domain_i, pool_i = forward_batch(
-                params, Tensor(batch[i : i + 1]), laplacian, adjacency, 0.5
+                params, Tensor(batch[i][None]), laplacian, adjacency, 0.5
             )
             np.testing.assert_allclose(emotion_b.data[i], emotion_i.data[0], atol=1e-12)
             np.testing.assert_allclose(domain_b.data[i], domain_i.data[0], atol=1e-12)
