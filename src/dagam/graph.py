@@ -79,7 +79,6 @@ def build_adjacency(layout: ElectrodeLayout, sigma: float) -> Adjacency:
     with np.errstate(divide="ignore"):
         a = np.minimum(1.0, sigma / (d**2))
     np.fill_diagonal(a, 0.0)
-    a = np.minimum(a, a.T)  # exact symmetry regardless of float quirks
     return Adjacency(a, layout.names)
 
 

@@ -240,9 +240,11 @@ def forward_batch(
     in front of the domain head, which can be skipped entirely for ablations
     and evaluation.
 
-    The GCN stack runs on slices of ``tensor.SLICE_ROWS`` samples, with or
-    without a tape, so its layer buffers take one slice's memory at any
-    batch size. The attention, pooling and heads run on the whole batch.
+    ``laplacian`` is one (N, N) matrix shared by every sample; another shape
+    raises DimensionError before any op runs. The GCN stack runs on slices
+    of ``tensor.SLICE_ROWS`` samples, with or without a tape, so its layer
+    buffers take one slice's memory at any batch size. The attention,
+    pooling and heads run on the whole batch.
 
     A NaN or infinite feature raises DataError naming its first position.
     Only ``x`` is scanned: the parameters are not, since scanning them on
@@ -251,6 +253,9 @@ def forward_batch(
     """
     if x.ndim < 3:
         raise DimensionError(f"expected (..., B, N, F) features, got {x.shape}")
+    n = x.shape[-2]
+    if laplacian.shape != (n, n):
+        raise DimensionError(f"laplacian {laplacian.shape} does not match {n} nodes")
     finite = np.isfinite(x.data)
     if not finite.all():
         position = tuple(int(i) for i in np.argwhere(~finite)[0])

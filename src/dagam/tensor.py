@@ -139,71 +139,61 @@ def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...])
     """``fn(*inputs)`` run in slices, recorded as one checkpointed entry when a tape is active.
 
     It pays where ``fn``'s intermediates outweigh its output, as in the GCN
-    stack. ``fn`` runs with recording paused on slices of ``SLICE_ROWS``
-    samples of the first input, and each slice's result is written into one
-    output array, so the forward holds the output plus one slice's
-    intermediates whether a tape is active or not. A first input of at most
-    ``SLICE_ROWS`` samples is one plain call, whose result is the output.
-    The active tape gets one entry (when some input requires a gradient)
-    that references only ``inputs`` and the output. Its backward recomputes
-    ``fn`` on the same slices, each on a private tape, and returns the
-    contributions to ``inputs``: the first input's slices fill one array,
-    and every other input's are summed in slice order.
+    stack. ``fn`` runs on slices of ``SLICE_ROWS`` samples of the first
+    input, with gradient-free wrappers of the others so that none of its ops
+    records, and each slice's result is written into one output array: at
+    any batch size the forward holds the output plus one slice's
+    intermediates. The active tape gets one entry (when some input requires
+    a gradient) that references only ``inputs`` and the output. Its backward
+    recomputes ``fn`` on the same slices, each on a private tape, and sums
+    every slice's gradients into one table: the first input's slices fill
+    one array, and an input passed twice gets its total once.
 
-    The contract, checked on each slice's output before it is written: the
-    first input is (..., N, F) and the output (..., N, G) with the same
-    leading axes. ``fn`` must also be row-independent over the flattened
-    leading axes (a 2-D sample is one slice: the trailing pair is never
-    split), read only ``inputs``, and, since it is recomputed in backward,
-    see the inputs' data unchanged until then.
+    The contract: the first input is (..., N, F), checked before any slice
+    runs, and each slice's output keeps the slice's leading axes, checked
+    before it is written. ``fn`` must also be row-independent over the
+    flattened leading axes (a 2-D sample is one slice: the trailing pair is
+    never split), read only ``inputs``, and, since it is recomputed in
+    backward, see the inputs' data unchanged until then.
     """
     first, rest = inputs[0], inputs[1:]
+    if first.ndim < 2:
+        raise _contract_broken(op, first.shape)
     rows = _sample_rows(first.data)
-    stack, _STATE.stack = _STATE.stack, []
-    try:
-        if len(rows) <= SLICE_ROWS:
-            out = _leading_axes_kept(op, first, fn(*inputs))
-        else:
-            for lo in range(0, len(rows), SLICE_ROWS):
-                part = Tensor(rows[lo : lo + SLICE_ROWS])
-                part_out = _leading_axes_kept(op, part, fn(part, *rest))
-                if lo == 0:
-                    out = np.empty(first.shape[:-2] + part_out.shape[-2:])
-                _sample_rows(out)[lo : lo + SLICE_ROWS] = part_out
-                del part_out  # not held while the next slice runs
-    finally:
-        _STATE.stack = stack
+    slices = [slice(lo, lo + SLICE_ROWS) for lo in range(0, max(len(rows), 1), SLICE_ROWS)]
+    constants = [Tensor(t.data) for t in rest]
+    for s in slices:
+        part = Tensor(rows[s])
+        part_out = fn(part, *constants)
+        if part_out.shape[:-2] != part.shape[:-2]:
+            raise _contract_broken(op, f"{part.shape} -> {part_out.shape}")
+        if s.start == 0:
+            out = np.empty(first.shape[:-2] + part_out.shape[-2:])
+        _sample_rows(out)[s] = part_out.data
+        del part_out  # not held while the next slice runs
 
     def backward(g):
         upstream = _sample_rows(g)
         grad_first = np.empty(first.shape) if first.requires_grad else None
-        grad_rows = None if grad_first is None else _sample_rows(grad_first)
-        totals: list[np.ndarray | None] = [None] * len(rest)
-        for lo in range(0, len(rows), SLICE_ROWS):
-            part = Tensor(rows[lo : lo + SLICE_ROWS], requires_grad=first.requires_grad)
+        totals: dict[Tensor, np.ndarray] = {}
+        for s in slices:
+            part = Tensor(rows[s], requires_grad=first.requires_grad)
             with Tape() as tape:
                 part_out = fn(part, *rest)
-            flowing = {part_out: upstream[lo : lo + SLICE_ROWS]}
+            flowing = {**totals, part_out: upstream[s]}
             _propagate(tape.entries, flowing)
-            if grad_rows is not None:
-                grad_rows[lo : lo + SLICE_ROWS] = flowing.get(part, 0.0)
-            for i, t in enumerate(rest):
-                contrib = flowing.get(t)
-                if contrib is not None:
-                    totals[i] = contrib if totals[i] is None else totals[i] + contrib
-        return (grad_first, *totals)
+            if grad_first is not None:
+                _sample_rows(grad_first)[s] = flowing.get(part, 0.0)
+            totals = {t: flowing[t] for t in rest if t in flowing}
+        return (grad_first, *(totals.pop(t, None) for t in rest))
 
     return record_op(op, inputs, out, backward, {"fn": fn})
 
 
-def _leading_axes_kept(op: str, x: Tensor, out: Tensor) -> np.ndarray:
-    """``out.data``, once ``out`` keeps the leading axes of the block input ``x``."""
-    if x.ndim < 2 or out.shape[:-2] != x.shape[:-2]:
-        raise ContractError(
-            f"{op}: a block maps (..., N, F) to (..., N, G) with the same leading axes, "
-            f"got {x.shape} -> {out.shape}"
-        )
-    return out.data
+def _contract_broken(op: str, got) -> ContractError:
+    return ContractError(
+        f"{op}: a block maps (..., N, F) to (..., N, G) with the same leading axes, got {got}"
+    )
 
 
 def _sample_rows(a: np.ndarray) -> np.ndarray:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dagam.errors import ConfigError, GraphError, LayoutError
 from dagam.graph import (
@@ -37,6 +40,23 @@ class TestBuildAdjacency:
         adj = build_adjacency(build_62_channel_layout(), sigma=5.0)
         assert np.array_equal(adj.matrix, adj.matrix.T)
         assert (np.diag(adj.matrix) == 0).all()
+
+    # d_ij and d_ji are computed from p_i - p_j and p_j - p_i, which IEEE
+    # subtraction makes exact negatives, so no symmetrizing step is needed.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        positions=hnp.arrays(
+            np.float64, st.tuples(st.integers(2, 12), st.just(3)), elements=st.floats(-1e3, 1e3)
+        ),
+        sigma=st.floats(1e-3, 1e3),
+    )
+    def test_exactly_symmetric_over_random_layouts(self, positions, sigma):
+        layout = ElectrodeLayout(tuple(f"c{i}" for i in range(len(positions))), positions)
+        try:
+            adj = build_adjacency(layout, sigma)
+        except LayoutError:
+            reject()  # coincident electrodes
+        assert np.array_equal(adj.matrix, adj.matrix.T)
 
     def test_offdiagonal_entries_in_unit_interval(self):
         for sigma in (0.5, 5.0, 50.0):

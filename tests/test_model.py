@@ -30,7 +30,7 @@ from dagam.model import (
 )
 from dagam.tensor import record_block
 
-from _helpers import tape_data_bytes, tiny_model_grad_error, tiny_setup, traced_peak_bytes
+from _helpers import TINY_GCN_HIDDEN, tape_data_bytes, tiny_model_grad_error, tiny_setup, traced_peak_bytes
 
 
 class TestGcnLayer:
@@ -188,6 +188,48 @@ class TestGcnBlock:
         for g_block, g_plain in zip(blocked, plain):
             np.testing.assert_array_equal(g_block, g_plain)
 
+    @pytest.mark.parametrize("batch", [3, 70])  # one slice, then three
+    def test_an_input_passed_twice_gets_the_plain_gradient_once(self, batch):
+        rng = np.random.default_rng(batch)
+        lap, x, (w,) = stack_setup(rng, (batch, 5, 4), (4,))
+        mix = Tensor(rng.standard_normal((batch, 5, 4)))
+
+        def grads(stack):
+            x.grad = w.grad = None
+            with Tape() as tape:
+                loss = ops.reduce_sum(ops.mul(stack(x, lap, w, w), mix))
+            backward(loss, tape)
+            return x.grad, w.grad
+
+        x_block, w_block = grads(lambda *inputs: record_block("gcn_stack", model._gcn_stack, inputs))
+        x_plain, w_plain = grads(model._gcn_stack)
+        np.testing.assert_array_equal(x_block, x_plain)
+        if batch <= tensor.SLICE_ROWS:
+            np.testing.assert_array_equal(w_block, w_plain)
+        else:  # summed slice by slice
+            assert np.abs(w_block - w_plain).max() <= 1e-12 * np.abs(w_plain).max()
+
+    def test_a_weight_shared_by_the_three_layers_gets_the_op_by_op_gradient(self, monkeypatch):
+        params, x, adjacency, laplacian = tiny_setup(5, n_features=TINY_GCN_HIDDEN[0])
+        shared = params.gcn_weights[0]
+        params.gcn_weights = [shared] * 3
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((3, *x.shape[1:])), requires_grad=True)
+        mix = Tensor(rng.standard_normal((3, params.n_classes)))
+
+        def grads():
+            x.grad = shared.grad = None
+            with Tape() as tape:
+                emotion, _, _ = forward_batch(params, x, laplacian, adjacency, 0.5, domain_head=False)
+                loss = ops.reduce_sum(ops.mul(emotion, mix))
+            backward(loss, tape)
+            return x.grad, shared.grad
+
+        blocked = grads()
+        monkeypatch.setattr(model, "record_block", plain_blocks)
+        for g_block, g_plain in zip(blocked, grads()):
+            np.testing.assert_array_equal(g_block, g_plain)
+
     @pytest.mark.parametrize("width", [3, 4])
     def test_a_layer_makes_three_output_sized_buffers(self, width):
         # Width 3 narrows the 4 features, so the layer makes x W, then L (x W);
@@ -235,10 +277,10 @@ class TestGcnBlock:
 
     def test_the_tape_holds_no_array_made_inside_a_block(self, monkeypatch):
         made = made_inside_blocks(monkeypatch)
-        # One slice: only the stack's output survives, and its last relu made
-        # that buffer. Two slices: each slice's result was written into the
-        # block's own output array, so nothing made inside survives.
-        for batch, survives in ((3, True), (40, False)):
+        # At every batch size, a batch of one included, each slice's result is
+        # written into the block's own output array, so nothing made inside
+        # survives.
+        for batch in (1, 3, 40):
             _, _, loss = batched_tiny(1, batch=batch)
             with Tape() as tape:
                 out = loss()
@@ -250,10 +292,9 @@ class TestGcnBlock:
                 gc.collect()
                 return {id(a()) for a in arrays if a() is not None}
 
-            survivors = {id(output)} if survives else set()
-            assert held() == survivors
+            assert held() == set()
             backward(out, tape)
-            assert held() == survivors
+            assert held() == set()
 
     @pytest.mark.parametrize("width", [2, 6])
     def test_without_a_tape_it_is_the_plain_composition(self, width, monkeypatch):
@@ -270,7 +311,7 @@ class TestGcnBlock:
 
     def test_shape_error_inside_a_block_leaves_the_outer_tape_active_and_empty(self):
         # The Laplacian, sized for 3 nodes, fails against 4 in the block's
-        # forward, which runs with recording paused.
+        # forward, whose ops record nothing.
         x = Tensor(np.ones((4, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
         stack = tensor._STATE.stack
@@ -312,8 +353,8 @@ class TestCheckpointSlicing:
     CASES = {
         "batch_70": ((70, 5, 3), SLICES_OF_70, SLICES_OF_70),
         "4d": ((2, 35, 5, 3), SLICES_OF_70, SLICES_OF_70),
-        # One slice: the forward is a plain call. 40 nodes: never split.
-        "2d_sample": ((40, 3), [(40, 3)], [(1, 40, 3)]),
+        # One slice of one sample. 40 nodes: never split.
+        "2d_sample": ((40, 3), [(1, 40, 3)], [(1, 40, 3)]),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -383,7 +424,9 @@ class TestCheckpointSlicing:
                 with pytest.raises(ContractError, match="same leading axes"):
                     record_block("sum_samples", sum_samples, (x,))
             assert len(tape) == 0
-            assert len(calls) == 1  # rejected on the first slice, before any is written
+            # A rank below 2 is rejected before fn runs; a changed leading
+            # axis on the first slice, before any is written.
+            assert len(calls) == (0 if len(shape) < 2 else 1)
 
     def test_a_forward_without_a_tape_holds_the_output_and_one_slice(self):
         # Equal widths make every layer buffer output-sized; 8 slices make a
@@ -644,6 +687,29 @@ class TestForward:
         params, x, adjacency, laplacian = tiny_setup(0)
         with pytest.raises(DimensionError):
             forward_batch(params, Tensor(x.data[0]), laplacian, adjacency, 0.5)
+
+    # Every sample shares one (N, N) Laplacian: a per-sample or broadcast one
+    # is rejected whether the GCN stack would run one slice or several.
+    @pytest.mark.parametrize(
+        "batch, shape", [(2, (2, 4, 4)), (33, (33, 4, 4)), (2, (1, 4, 4)), (2, (5, 5))]
+    )
+    def test_a_laplacian_other_than_n_by_n_rejected_before_any_op(self, batch, shape, monkeypatch):
+        params, x, adjacency, laplacian = tiny_setup(0)
+        x = Tensor(np.ones((batch, *x.shape[1:])), requires_grad=True)
+        lap = Tensor(np.resize(laplacian.data, shape))
+        recorded = []
+        monkeypatch.setattr(ops, "record_op", lambda *args, **kwargs: recorded.append(args))
+        with Tape():
+            with pytest.raises(DimensionError, match=r"laplacian .* 4 nodes"):
+                forward_batch(params, x, lap, adjacency, 0.5)
+        assert recorded == []
+
+    def test_an_empty_batch_gives_empty_outputs(self):
+        params, x, adjacency, laplacian = tiny_setup(0)
+        empty = Tensor(np.empty((0, *x.shape[1:])))
+        emotion, domain, pool = forward_batch(params, empty, laplacian, adjacency, 0.5)
+        assert emotion.shape == (0, params.n_classes) and domain.shape == (0, 2)
+        assert pool.index.shape == (0, retained_count(0.5, x.shape[-2]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_feature_rejected_at_its_position(self, bad):
