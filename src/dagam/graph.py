@@ -76,7 +76,9 @@ def build_adjacency(layout: ElectrodeLayout, sigma: float) -> Adjacency:
         raise LayoutError(
             f"channels {layout.names[i]!r} and {layout.names[j]!r} have coincident coordinates"
         )
-    with np.errstate(divide="ignore"):
+    # Distinct electrodes a tiny distance apart have a subnormal d^2, so
+    # sigma / d^2 overflows to inf, which the cap turns into 1.
+    with np.errstate(divide="ignore", over="ignore"):
         a = np.minimum(1.0, sigma / (d**2))
     np.fill_diagonal(a, 0.0)
     return Adjacency(a, layout.names)

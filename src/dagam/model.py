@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,9 +115,9 @@ def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
-    ``forward_batch`` runs the layers inside one checkpointed block, on
-    slices of ``tensor.SLICE_ROWS`` samples, which keeps none of their
-    intermediates past a slice.
+    ``forward_batch`` runs the layers, the attention scores and the pooling
+    inside one checkpointed block, on slices of ``tensor.SLICE_ROWS``
+    samples, which keeps none of their intermediates past a slice.
     """
     return ops.relu(_propagation(laplacian, x, w))
 
@@ -127,18 +128,8 @@ def _propagation(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
     return ops.matmul(ops.matmul(laplacian, x), w)
 
 
-def _gcn_stack(x: Tensor, laplacian: Tensor, *weights: Tensor) -> Tensor:
-    for w in weights:
-        x = gcn_layer(laplacian, x, w)
-    return x
-
-
 def attention_scores(laplacian: Tensor, x: Tensor, w_att: Tensor) -> Tensor:
-    """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1), recorded op by op.
-
-    Its intermediates are single-column, (..., N, 1) each, so a checkpoint
-    would save no memory; the tape keeps them.
-    """
+    """Per-node scores tanh(L x w) in (-1, 1), shape (..., N, 1), recorded op by op."""
     if w_att.shape[-1] != 1:
         raise DimensionError(f"attention weight must have one output column, got {w_att.shape}")
     return ops.tanh(_propagation(laplacian, x, w_att))
@@ -193,6 +184,19 @@ def sag_pool(x: Tensor, adjacency: np.ndarray, scores: Tensor, k: float) -> Pool
     return PoolResult(ops.mul(x_kept, ops.gather_rows(scores, index)), adjacency, index)
 
 
+def _gcn_pool(
+    x: Tensor, laplacian: Tensor, w_att: Tensor, *weights: Tensor, adjacency: np.ndarray, k: float
+) -> tuple[Tensor, np.ndarray]:
+    """The checkpointed block of ``forward_batch``: GCN stack, attention scores, pooling.
+
+    Returns the pooled features (..., M, G) and the kept node indices (..., M).
+    """
+    for w in weights:
+        x = gcn_layer(laplacian, x, w)
+    pool = sag_pool(x, adjacency, attention_scores(laplacian, x, w_att), k)
+    return pool.x_out, pool.index
+
+
 def readout(x: Tensor) -> Tensor:
     """Concatenated column means and column maxima: (..., M, F) -> (..., 2F)."""
     if x.ndim < 2:
@@ -240,11 +244,14 @@ def forward_batch(
     in front of the domain head, which can be skipped entirely for ablations
     and evaluation.
 
-    ``laplacian`` is one (N, N) matrix shared by every sample; another shape
-    raises DimensionError before any op runs. The GCN stack runs on slices
-    of ``tensor.SLICE_ROWS`` samples, with or without a tape, so its layer
-    buffers take one slice's memory at any batch size. The attention,
-    pooling and heads run on the whole batch.
+    ``laplacian`` and ``adjacency`` are (N, N) matrices shared by every
+    sample; another shape raises DimensionError before any op runs. The GCN
+    stack, the attention scores and the pooling run as one checkpointed
+    block on slices of ``tensor.SLICE_ROWS`` samples, with or without a
+    tape, so their buffers take one slice's memory at any batch size and a
+    tape keeps only the pooled nodes. ``top_rank`` is called once per slice
+    and again in the backward's recompute, so it must be a pure function of
+    its scores. The readout and heads run op by op on the whole batch.
 
     A NaN or infinite feature raises DataError naming its first position.
     Only ``x`` is scanned: the parameters are not, since scanning them on
@@ -256,14 +263,17 @@ def forward_batch(
     n = x.shape[-2]
     if laplacian.shape != (n, n):
         raise DimensionError(f"laplacian {laplacian.shape} does not match {n} nodes")
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    if adjacency.shape != (n, n):
+        raise DimensionError(f"adjacency {adjacency.shape} does not match {n} nodes")
     finite = np.isfinite(x.data)
     if not finite.all():
         position = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise DataError(f"forward_batch: feature {x.data[position]} at position {position}")
-    h = record_block("gcn_stack", _gcn_stack, (x, laplacian, *params.gcn_weights))
-    scores = attention_scores(laplacian, h, params.w_att)
-    pool = sag_pool(h, adjacency, scores, k)
-    embedding = readout(pool.x_out)
+    block = partial(_gcn_pool, adjacency=adjacency, k=k)
+    pooled, index = record_block("gcn_pool", block, (x, laplacian, params.w_att, *params.gcn_weights))
+    pool = PoolResult(pooled, adjacency, index)
+    embedding = readout(pooled)
     emotion = ops.softmax_rows(_feed_forward(embedding, params.emotion))
     domain = None
     if domain_head:

@@ -7,12 +7,14 @@ are recorded as they run, the record is already topologically sorted and
 the active-tape stack is thread-local so independent runs can execute
 concurrently.
 
-A block (:func:`record_block`), here the model's GCN stack, runs its layers
-on slices of ``SLICE_ROWS`` samples, with or without a tape, and records them
-as one checkpointed entry that references only its inputs and its output.
-Its backward recomputes the layers on the same slices, each on a private tape
-dropped once the slice's gradients are taken. No intermediate of a block
-outlives its slice, and tensors made inside a block never get a ``grad``.
+A block (:func:`record_block`), here the model's GCN stack, attention scores
+and pooling, runs on slices of ``SLICE_ROWS`` samples, with or without a
+tape, and records them as one checkpointed entry that references only its
+inputs and its output, the pooled nodes. Its backward recomputes the block on
+the same slices, each on a private tape dropped once the slice's gradients
+are taken, and checks that each slice selects the nodes its forward selected.
+No intermediate of a block outlives its slice, and tensors made inside a
+block never get a ``grad``.
 
 Tensors are single-writer: no op writes into its inputs' data, so a recorded
 tensor keeps the values it was recorded with.
@@ -39,9 +41,11 @@ _STATE = _State()
 
 # Samples per slice of a block, in its forward and its backward recompute, so a
 # block's memory is its output plus one slice's intermediates at any batch size.
-# A B=256 train step (1 BLAS thread) times the same with 8, 16 or 32, ~20%
-# slower with 64, ~40% with an unsliced recompute.
-SLICE_ROWS = 32
+# On a B=256 train step (1 BLAS thread) the backward's recompute takes ~12k
+# minor faults per step at 32, ~2.5k at 16, ~0.7k at 8 and none at 4: glibc
+# trims the heap after a large slice and regrows it in the next. The step took
+# 104, 88, 76 and 73 ms (seed 11): 8 is as fast as 4 with half the slices.
+SLICE_ROWS = 8
 
 
 class Tensor:
@@ -135,26 +139,32 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward,
     return out
 
 
-def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...]) -> Tensor:
+def record_block(
+    op: str, fn: Callable[..., tuple[Tensor, np.ndarray]], inputs: tuple[Tensor, ...]
+) -> tuple[Tensor, np.ndarray]:
     """``fn(*inputs)`` run in slices, recorded as one checkpointed entry when a tape is active.
 
-    It pays where ``fn``'s intermediates outweigh its output, as in the GCN
-    stack. ``fn`` runs on slices of ``SLICE_ROWS`` samples of the first
+    ``fn`` returns an output and the integer rows it selected per sample, as
+    the model's GCN stack, attention and pooling return the pooled nodes and
+    their indices. It runs on slices of ``SLICE_ROWS`` samples of the first
     input, with gradient-free wrappers of the others so that none of its ops
-    records, and each slice's result is written into one output array: at
-    any batch size the forward holds the output plus one slice's
-    intermediates. The active tape gets one entry (when some input requires
-    a gradient) that references only ``inputs`` and the output. Its backward
-    recomputes ``fn`` on the same slices, each on a private tape, and sums
-    every slice's gradients into one table: the first input's slices fill
-    one array, and an input passed twice gets its total once.
+    records, and each slice's results are written into the one output and
+    index array the block returns: at any batch size the forward holds those
+    plus one slice's intermediates. The active tape gets one entry (when some
+    input requires a gradient) that references only ``inputs``, the output
+    and the index. Its backward recomputes ``fn`` on the same slices, each on a
+    private tape, raises ContractError naming ``op`` when a slice selects
+    other rows than its forward did, and sums every slice's gradients into
+    one table: the first input's slices fill one array, and an input passed
+    twice gets its total once.
 
     The contract: the first input is (..., N, F), checked before any slice
-    runs, and each slice's output keeps the slice's leading axes, checked
-    before it is written. ``fn`` must also be row-independent over the
-    flattened leading axes (a 2-D sample is one slice: the trailing pair is
-    never split), read only ``inputs``, and, since it is recomputed in
-    backward, see the inputs' data unchanged until then.
+    runs, and each slice's output is (..., M, G) and its index (..., M) with
+    the slice's leading axes, checked before they are written. ``fn`` must
+    also be row-independent over the flattened leading axes (a 2-D sample is
+    one slice: the trailing pair is never split), read only ``inputs`` and
+    what it binds itself, and, since it is recomputed in backward, be a pure
+    function of the inputs' data, which must stay unchanged until then.
     """
     first, rest = inputs[0], inputs[1:]
     if first.ndim < 2:
@@ -164,12 +174,15 @@ def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...])
     constants = [Tensor(t.data) for t in rest]
     for s in slices:
         part = Tensor(rows[s])
-        part_out = fn(part, *constants)
-        if part_out.shape[:-2] != part.shape[:-2]:
-            raise _contract_broken(op, f"{part.shape} -> {part_out.shape}")
+        part_out, part_index = fn(part, *constants)
+        if part_out.shape[:-2] != part.shape[:-2] or part_index.shape != part_out.shape[:-1]:
+            raise _contract_broken(op, f"{part.shape} -> {part_out.shape} and {part_index.shape}")
         if s.start == 0:
             out = np.empty(first.shape[:-2] + part_out.shape[-2:])
+            index = np.empty(first.shape[:-2] + part_index.shape[-1:], part_index.dtype)
+            kept = index.reshape(-1, index.shape[-1])
         _sample_rows(out)[s] = part_out.data
+        kept[s] = part_index
         del part_out  # not held while the next slice runs
 
     def backward(g):
@@ -179,7 +192,12 @@ def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...])
         for s in slices:
             part = Tensor(rows[s], requires_grad=first.requires_grad)
             with Tape() as tape:
-                part_out = fn(part, *rest)
+                part_out, part_index = fn(part, *rest)
+            if not np.array_equal(part_index, kept[s]):
+                raise ContractError(
+                    f"{op}: the recompute of samples from {s.start} selected other rows than the "
+                    "forward; the block must be a pure function of its inputs"
+                )
             flowing = {**totals, part_out: upstream[s]}
             _propagate(tape.entries, flowing)
             if grad_first is not None:
@@ -187,12 +205,13 @@ def record_block(op: str, fn: Callable[..., Tensor], inputs: tuple[Tensor, ...])
             totals = {t: flowing[t] for t in rest if t in flowing}
         return (grad_first, *(totals.pop(t, None) for t in rest))
 
-    return record_op(op, inputs, out, backward, {"fn": fn})
+    return record_op(op, inputs, out, backward, {"fn": fn}), index
 
 
 def _contract_broken(op: str, got) -> ContractError:
     return ContractError(
-        f"{op}: a block maps (..., N, F) to (..., N, G) with the same leading axes, got {got}"
+        f"{op}: a block maps (..., N, F) to (..., M, G) and (..., M) rows with the same "
+        f"leading axes, got {got}"
     )
 
 

@@ -104,7 +104,9 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
     parameters (the reversal sits between them and the domain loss), and
     fd(emotion) + fd(domain) for the head parameters. The pooling selection
     is frozen at the unperturbed scores since it is piecewise constant (by
-    swapping ``model.top_rank``, the seam ``forward_batch`` ranks through), and
+    swapping ``model.top_rank``, the seam ``forward_batch`` ranks through once
+    per slice and again in the backward's recompute; the frozen index is a
+    pure function of the scores, as the recompute's check requires), and
     instances whose relu/max inputs sit within ``margin`` of a kink are
     deterministically reseeded (finite differences straddle the kink there).
     """

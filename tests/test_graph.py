@@ -36,6 +36,10 @@ class TestBuildAdjacency:
         with pytest.raises(LayoutError, match="'A'.*'B'"):
             build_adjacency(layout, sigma=5.0)
 
+    def test_electrodes_with_a_subnormal_squared_distance_get_full_weight(self):
+        layout = ElectrodeLayout(("A", "B"), np.array([[0.0, 0.0, 0.0], [1e-159, 0.0, 0.0]]))
+        np.testing.assert_array_equal(build_adjacency(layout, sigma=1.0).matrix, [[0.0, 1.0], [1.0, 0.0]])
+
     def test_diagonal_zero_and_symmetric(self):
         adj = build_adjacency(build_62_channel_layout(), sigma=5.0)
         assert np.array_equal(adj.matrix, adj.matrix.T)

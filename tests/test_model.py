@@ -5,6 +5,7 @@ import gc
 import math
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -119,19 +120,36 @@ def plain_blocks(op, fn, inputs):
     return fn(*inputs)
 
 
-def stack_setup(rng, shape, widths):
-    """A random Laplacian, input (..., N, F) and GCN weights F -> widths[0] -> ..."""
+def block_setup(rng, shape, widths, k=0.5):
+    """The model's block at ratio ``k`` on a random graph, and its inputs.
+
+    The inputs are features (..., N, F), the Laplacian, an attention weight
+    and GCN weights F -> widths[0] -> ..., in the order ``forward_batch``
+    passes them: (x, L, w_att, *weights).
+    """
     nodes, features = shape[-2:]
     upper = np.triu(rng.uniform(0.1, 1.0, (nodes, nodes)), 1)
-    lap = Tensor(renormalized_laplacian(upper + upper.T))
+    adjacency = upper + upper.T
+    lap = Tensor(renormalized_laplacian(adjacency))
     x = Tensor(rng.standard_normal(shape), requires_grad=True)
     sizes = [features, *widths]
     weights = [Tensor(rng.standard_normal(io), requires_grad=True) for io in zip(sizes[:-1], sizes[1:])]
-    return lap, x, weights
+    w_att = Tensor(rng.standard_normal((sizes[-1], 1)), requires_grad=True)
+    return partial(model._gcn_pool, adjacency=adjacency, k=k), (x, lap, w_att, *weights)
+
+
+def plain_block(block, x, lap, w_att, *weights):
+    """The block as the bare composition of its ops, apart from the model's own layer and attention code."""
+    h = x
+    for w in weights:
+        h = plain_gcn_layer(lap, h, w)
+    scores = ops.tanh(plain_propagation(lap, h, w_att))
+    pool = sag_pool(h, block.keywords["adjacency"], scores, block.keywords["k"])
+    return pool.x_out, pool.index
 
 
 def made_inside_blocks(monkeypatch):
-    """Collect every tensor the ops make while the GCN stack block runs, forward or recompute."""
+    """Collect every tensor the ops make while the model's block runs, forward or recompute."""
     made, inside = [], []
     record = ops.record_op
 
@@ -142,23 +160,24 @@ def made_inside_blocks(monkeypatch):
         return out
 
     def marked(fn):
-        def run(*args):
+        def run(*args, **bound):
             inside.append(fn)
             try:
-                return fn(*args)
+                return fn(*args, **bound)
             finally:
                 inside.pop()
 
         return run
 
     monkeypatch.setattr(ops, "record_op", recording)
-    monkeypatch.setattr(model, "_gcn_stack", marked(model._gcn_stack))
+    monkeypatch.setattr(model, "_gcn_pool", marked(model._gcn_pool))
     return made
 
 
 class TestGcnBlock:
-    """Under a tape the GCN stack is one checkpointed entry that keeps nothing
-    inside and recomputes in backward; it is the model's only block."""
+    """Under a tape the GCN stack, the attention scores and the pooling are one
+    checkpointed entry that keeps only the pooled nodes and recomputes in
+    backward; it is the model's only block."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_equal_the_op_by_op_tape_and_accumulate(self, seed, monkeypatch):
@@ -178,36 +197,37 @@ class TestGcnBlock:
             return tape, [out.data, *once], [t.grad for t in tensors]
 
         tape, blocked, twice = grads()
-        assert [e.op for e in tape.entries if e.meta and "fn" in e.meta] == ["gcn_stack"]
+        assert [e.op for e in tape.entries if e.meta and "fn" in e.meta] == ["gcn_pool"]
         for g1, g2 in zip(blocked[1:], twice):
             np.testing.assert_array_equal(g2, 2.0 * g1)
         monkeypatch.setattr(model, "record_block", plain_blocks)
         monkeypatch.setattr(model, "gcn_layer", plain_gcn_layer)
         tape, plain, _ = grads()
-        assert "gcn_stack" not in {e.op for e in tape.entries}
+        assert "gcn_pool" not in {e.op for e in tape.entries}
         for g_block, g_plain in zip(blocked, plain):
             np.testing.assert_array_equal(g_block, g_plain)
 
-    @pytest.mark.parametrize("batch", [3, 70])  # one slice, then three
+    @pytest.mark.parametrize("batch", [3, 70])  # one slice, then nine
     def test_an_input_passed_twice_gets_the_plain_gradient_once(self, batch):
         rng = np.random.default_rng(batch)
-        lap, x, (w,) = stack_setup(rng, (batch, 5, 4), (4,))
-        mix = Tensor(rng.standard_normal((batch, 5, 4)))
+        block, (x, lap, w_att, w) = block_setup(rng, (batch, 5, 4), (4,))
+        mix = Tensor(rng.standard_normal((batch, retained_count(0.5, 5), 4)))
 
-        def grads(stack):
-            x.grad = w.grad = None
+        def grads(pooled):
+            x.grad = w.grad = w_att.grad = None
             with Tape() as tape:
-                loss = ops.reduce_sum(ops.mul(stack(x, lap, w, w), mix))
+                loss = ops.reduce_sum(ops.mul(pooled(x, lap, w_att, w, w), mix))
             backward(loss, tape)
-            return x.grad, w.grad
+            return x.grad, w.grad, w_att.grad
 
-        x_block, w_block = grads(lambda *inputs: record_block("gcn_stack", model._gcn_stack, inputs))
-        x_plain, w_plain = grads(model._gcn_stack)
+        x_block, *w_block = grads(lambda *inputs: record_block("gcn_pool", block, inputs)[0])
+        x_plain, *w_plain = grads(lambda *inputs: block(*inputs)[0])
         np.testing.assert_array_equal(x_block, x_plain)
-        if batch <= tensor.SLICE_ROWS:
-            np.testing.assert_array_equal(w_block, w_plain)
-        else:  # summed slice by slice
-            assert np.abs(w_block - w_plain).max() <= 1e-12 * np.abs(w_plain).max()
+        for g_block, g_plain in zip(w_block, w_plain):
+            if batch <= tensor.SLICE_ROWS:
+                np.testing.assert_array_equal(g_block, g_plain)
+            else:  # summed slice by slice
+                assert np.abs(g_block - g_plain).max() <= 1e-12 * np.abs(g_plain).max()
 
     def test_a_weight_shared_by_the_three_layers_gets_the_op_by_op_gradient(self, monkeypatch):
         params, x, adjacency, laplacian = tiny_setup(5, n_features=TINY_GCN_HIDDEN[0])
@@ -234,7 +254,7 @@ class TestGcnBlock:
     def test_a_layer_makes_three_output_sized_buffers(self, width):
         # Width 3 narrows the 4 features, so the layer makes x W, then L (x W);
         # width 4 makes L x, then (L x) W. relu makes the third. In a block the
-        # tape keeps only the output.
+        # tape keeps only the pooled output: 3 of the 5 nodes.
         batch, nodes, features = 3, 5, 4
         rng = np.random.default_rng(width)
         lap = Tensor(rng.standard_normal((nodes, nodes)))
@@ -249,30 +269,34 @@ class TestGcnBlock:
         with Tape() as plain:
             plain_gcn_layer(lap, x, w)
         assert tape_data_bytes(plain) - given == 3 * output_sized
+        w_att = Tensor(rng.standard_normal((width, 1)), requires_grad=True)
+        block = partial(model._gcn_pool, adjacency=np.eye(nodes), k=0.6)
         with Tape() as blocked:
-            record_block("gcn_stack", model._gcn_stack, (x, lap, w))
-        assert tape_data_bytes(blocked) - given == output_sized
+            record_block("gcn_pool", block, (x, lap, w_att, w))
+        pooled = batch * retained_count(0.6, nodes) * width * x.data.itemsize
+        assert tape_data_bytes(blocked) - given - w_att.data.nbytes == pooled
 
     def test_one_stack_entry_and_no_grad_inside(self, monkeypatch):
         made = made_inside_blocks(monkeypatch)
-        params, x, loss = batched_tiny(0, batch=40)  # two recompute slices
+        params, x, loss = batched_tiny(0, batch=40)  # five recompute slices
         with Tape() as tape:
             out = loss()
-        (stack,) = [e for e in tape.entries if e.meta and "fn" in e.meta]
-        assert stack.op == "gcn_stack"
-        assert stack.inputs == (x, stack.inputs[1], *params.gcn_weights)
-        # The attention's ops follow on the caller's tape: w_att narrows the
-        # features, so the scores are tanh(L (h w_att)).
-        xw, lxw, scores = tape.entries[1:4]
-        assert [e.op for e in (xw, lxw, scores)] == ["matmul", "matmul", "tanh"]
-        assert xw.inputs == (stack.output, params.w_att)
-        assert lxw.inputs == (stack.inputs[1], xw.output) and scores.inputs == (lxw.output,)
-        # The other matmuls on the tape are the heads' own.
-        assert sum(e.op == "matmul" for e in tape.entries) == 2 + len(params.emotion) + len(params.domain)
+        (block,) = [e for e in tape.entries if e.meta and "fn" in e.meta]
+        assert block.op == "gcn_pool" and tape.entries[0] is block
+        assert block.inputs == (x, block.inputs[1], params.w_att, *params.gcn_weights)
+        # The readout's ops follow on the caller's tape and read the pooled
+        # nodes; the attention's and the pooling's ops ran inside the block.
+        mean, peak, joined = tape.entries[1:4]
+        assert [e.op for e in (mean, peak, joined)] == ["mean", "max", "concat"]
+        assert mean.inputs == peak.inputs == (block.output,)
+        on_tape = [e.op for e in tape.entries]
+        assert "tanh" not in on_tape and "gather_rows" not in on_tape
+        # The matmuls on the tape are the heads' own.
+        assert on_tape.count("matmul") == len(params.emotion) + len(params.domain)
         forward_made = len(made)
         backward(out, tape)
         assert len(made) > forward_made  # the recompute ran
-        assert stack.output.grad is not None and scores.output.grad is not None
+        assert block.output.grad is not None and params.w_att.grad is not None
         assert all(t.grad is None for t in made)
 
     def test_the_tape_holds_no_array_made_inside_a_block(self, monkeypatch):
@@ -285,7 +309,7 @@ class TestGcnBlock:
             with Tape() as tape:
                 out = loss()
             arrays = [weakref.ref(t.data) for t in made]
-            (output,) = [e.output.data for e in tape.entries if e.op == "gcn_stack"]
+            (output,) = [e.output.data for e in tape.entries if e.op == "gcn_pool"]
             made.clear()
 
             def held():
@@ -300,24 +324,25 @@ class TestGcnBlock:
     def test_without_a_tape_it_is_the_plain_composition(self, width, monkeypatch):
         rng = np.random.default_rng(width)
         monkeypatch.setattr(tensor, "Tape", None)  # a private tape would fail to open
-        for shape in ((3, 5, 4), (70, 5, 4)):  # one slice, then three
-            lap, x, weights = stack_setup(rng, shape, (width, 3))
-            h = x
-            for w in weights:
-                h = plain_gcn_layer(lap, h, w)
-            out = record_block("gcn_stack", model._gcn_stack, (x, lap, *weights))
+        for shape in ((3, 5, 4), (70, 5, 4)):  # one slice, then nine
+            block, inputs = block_setup(rng, shape, (width, 3))
+            plain_out, plain_index = plain_block(block, *inputs)
+            out, index = record_block("gcn_pool", block, inputs)
             assert not out.requires_grad
-            np.testing.assert_array_equal(out.data, h.data)
+            np.testing.assert_array_equal(out.data, plain_out.data)
+            np.testing.assert_array_equal(index, plain_index)
 
     def test_shape_error_inside_a_block_leaves_the_outer_tape_active_and_empty(self):
         # The Laplacian, sized for 3 nodes, fails against 4 in the block's
         # forward, whose ops record nothing.
         x = Tensor(np.ones((4, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
+        w_att = Tensor(np.ones((1, 1)), requires_grad=True)
+        block = partial(model._gcn_pool, adjacency=np.eye(4), k=0.5)
         stack = tensor._STATE.stack
         with Tape() as tape:
             with pytest.raises(DimensionError):
-                record_block("gcn_stack", model._gcn_stack, (x, Tensor(np.eye(3)), w))
+                record_block("gcn_pool", block, (x, Tensor(np.eye(3)), w_att, w))
             assert tensor._STATE.stack is stack and stack == [tape]
             assert len(tape) == 0
             ops.relu(x)
@@ -327,9 +352,12 @@ class TestGcnBlock:
     def test_shape_error_in_a_block_recompute_leaves_the_tape_stack_as_it_was(self):
         x = Tensor(np.ones((40, 4, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 3)), requires_grad=True)
+        w_att = Tensor(np.ones((3, 1)), requires_grad=True)
         lap = Tensor(np.eye(4))
+        block = partial(model._gcn_pool, adjacency=np.eye(4), k=0.5)
         with Tape() as tape:
-            loss = ops.reduce_sum(record_block("gcn_stack", model._gcn_stack, (x, lap, w)))
+            pooled, _ = record_block("gcn_pool", block, (x, lap, w_att, w))
+            loss = ops.reduce_sum(pooled)
         lap.data = np.eye(3)  # the recompute reads it and fails in its first slice
         stack = tensor._STATE.stack
         with Tape() as outer:
@@ -341,17 +369,38 @@ class TestGcnBlock:
         with pytest.raises(DimensionError):
             backward(loss, tape)
         assert tensor._STATE.stack is stack and not stack
-        assert x.grad is None and w.grad is None
+        assert x.grad is None and w.grad is None and w_att.grad is None
+
+    def test_a_top_rank_that_is_not_a_function_of_its_scores_fails_the_recompute(self, monkeypatch):
+        # A seam that draws a fresh random subset on every call, as a random
+        # pooling control might, keeps other nodes in the backward's
+        # recompute than in the forward: the gradients would belong to nodes
+        # the forward never kept.
+        draws = np.random.default_rng(0)
+
+        def fresh_draw(scores, k):
+            order = np.argsort(draws.random(scores.shape), axis=-1)
+            return np.sort(order[..., : retained_count(k, scores.shape[-1])], axis=-1)
+
+        monkeypatch.setattr(model, "top_rank", fresh_draw)
+        params, x, loss = batched_tiny(6, batch=40)
+        with Tape() as tape:
+            out = loss()
+        with pytest.raises(ContractError, match="gcn_pool: the recompute of samples from 0"):
+            backward(out, tape)
+        assert tensor._STATE.stack == []
+        assert all(t.grad is None for t in (x, *params.all_params()))
 
 
 class TestCheckpointSlicing:
-    """The stack block runs its forward and its backward recompute in slices of
+    """The block runs its forward and its backward recompute in slices of
     SLICE_ROWS flattened samples."""
 
-    SLICES_OF_70 = [(32, 5, 3), (32, 5, 3), (6, 5, 3)]
+    SLICES_OF_70 = [(8, 5, 3)] * 8 + [(6, 5, 3)]
     # The input shape, the slices the forward runs, the slices the backward recomputes.
     CASES = {
         "batch_70": ((70, 5, 3), SLICES_OF_70, SLICES_OF_70),
+        # The fifth slice crosses from the first 35 samples to the second.
         "4d": ((2, 35, 5, 3), SLICES_OF_70, SLICES_OF_70),
         # One slice of one sample. 40 nodes: never split.
         "2d_sample": ((40, 3), [(1, 40, 3)], [(1, 40, 3)]),
@@ -360,18 +409,17 @@ class TestCheckpointSlicing:
     @pytest.mark.parametrize("case", CASES)
     def test_matches_the_op_by_op_composition(self, case):
         shape, forward_slices, slices = self.CASES[case]
-        assert tensor.SLICE_ROWS == 32
+        assert tensor.SLICE_ROWS == 8
         rng = np.random.default_rng(len(shape) + len(slices))
         # Widths 4 then 2: one layer widens the 3 features, one narrows.
-        lap, x, params = stack_setup(rng, shape, (4, 2))
-        fn = model._gcn_stack
+        block, (x, lap, *params) = block_setup(rng, shape, (4, 2))
         seen = []
 
-        def recorded_fn(first, *rest):
+        def recorded_block(first, *rest):
             seen.append(first.shape)
-            return fn(first, *rest)
+            return block(first, *rest)
 
-        out_shape = fn(x, lap, *params).shape
+        out_shape = block(x, lap, *params)[0].shape
         mix = rng.standard_normal(out_shape)
         tensors = [x, *params]
 
@@ -379,21 +427,22 @@ class TestCheckpointSlicing:
             for t in (x_in, *params):
                 t.grad = None
             with Tape() as tape:
-                out = make(x_in)
+                out, index = make(x_in)
                 loss = ops.reduce_sum(ops.mul(out, Tensor(mix_in)))
             backward(loss, tape)
-            return tape, loss, out.data, [t.grad.copy() for t in (x_in, *params)]
+            return tape, loss, out.data, index, [t.grad.copy() for t in (x_in, *params)]
 
-        tape, loss, out, grads = run(
-            lambda x_: record_block("gcn_stack", recorded_fn, (x_, lap, *params)), x, mix
+        tape, loss, out, index, grads = run(
+            lambda x_: record_block("gcn_pool", recorded_block, (x_, lap, *params)), x, mix
         )
         assert seen == [*forward_slices, *slices]
         backward(loss, tape)
         for t, g in zip(tensors, grads):
             np.testing.assert_array_equal(t.grad, 2.0 * g)
 
-        _, _, plain_out, plain = run(lambda x_: fn(x_, lap, *params), x, mix)
+        _, _, plain_out, plain_index, plain = run(lambda x_: block(x_, lap, *params), x, mix)
         np.testing.assert_array_equal(out, plain_out)
+        np.testing.assert_array_equal(index, plain_index)
         np.testing.assert_array_equal(grads[0], plain[0])
         for g, p in zip(grads[1:], plain[1:]):
             assert np.abs(g - p).max() <= 1e-12 * np.abs(p).max()
@@ -403,7 +452,9 @@ class TestCheckpointSlicing:
         summed = None
         for lo in range(0, len(rows), tensor.SLICE_ROWS):
             part = Tensor(rows[lo : lo + tensor.SLICE_ROWS], requires_grad=True)
-            *_, part_grads = run(lambda x_: fn(x_, lap, *params), part, mix_rows[lo : lo + tensor.SLICE_ROWS])
+            *_, part_grads = run(
+                lambda x_: block(x_, lap, *params), part, mix_rows[lo : lo + tensor.SLICE_ROWS]
+            )
             summed = part_grads[1:] if summed is None else [a + b for a, b in zip(summed, part_grads[1:])]
         for g, s in zip(grads[1:], summed):
             np.testing.assert_array_equal(g, s)
@@ -413,30 +464,64 @@ class TestCheckpointSlicing:
         x = Tensor(np.ones(shape), requires_grad=True)
         calls = []
 
-        def sum_samples(x_):
+        def sum_samples(x_):  # the output loses the sample axis
             calls.append(x_.shape)
-            return ops.reduce_sum(x_, axis=0)
+            return ops.reduce_sum(x_, axis=0), np.zeros(x_.shape[:-1], dtype=np.intp)
 
-        for taped in (True, False):
-            calls.clear()
-            tape = Tape()
-            with tape if taped else contextlib.nullcontext():
-                with pytest.raises(ContractError, match="same leading axes"):
-                    record_block("sum_samples", sum_samples, (x,))
-            assert len(tape) == 0
-            # A rank below 2 is rejected before fn runs; a changed leading
-            # axis on the first slice, before any is written.
-            assert len(calls) == (0 if len(shape) < 2 else 1)
+        def one_index_row(x_):  # the index loses it
+            calls.append(x_.shape)
+            return ops.mul(x_, x_), np.zeros(x_.shape[-2:-1], dtype=np.intp)
+
+        for fn in (sum_samples, one_index_row):
+            for taped in (True, False):
+                calls.clear()
+                tape = Tape()
+                with tape if taped else contextlib.nullcontext():
+                    with pytest.raises(ContractError, match="same leading axes"):
+                        record_block("drop_samples", fn, (x,))
+                assert len(tape) == 0
+                # A rank below 2 is rejected before fn runs; a changed leading
+                # axis on the first slice, before any is written.
+                assert len(calls) == (0 if len(shape) < 2 else 1)
 
     def test_a_forward_without_a_tape_holds_the_output_and_one_slice(self):
-        # Equal widths make every layer buffer output-sized; 8 slices make a
+        # Equal widths make every layer buffer input-sized; 8 slices make a
         # slice's buffers an eighth of that. Unsliced, the forward held about
-        # three output-sized buffers at once: a layer's input, product and relu.
+        # three input-sized buffers at once: a layer's input, product and relu.
         rng = np.random.default_rng(3)
-        lap, x, weights = stack_setup(rng, (8 * tensor.SLICE_ROWS, 16, 16), (16, 16, 16))
-        output = x.data.nbytes
-        peak = traced_peak_bytes(lambda: record_block("gcn_stack", model._gcn_stack, (x, lap, *weights)))
-        assert peak < output + 4 * output // 8
+        block, inputs = block_setup(rng, (8 * tensor.SLICE_ROWS, 32, 32), (32, 32, 32))
+        results = []
+        peak = traced_peak_bytes(lambda: results.append(record_block("gcn_pool", block, inputs)))
+        (out, index), sliced = results[0], inputs[0].data.nbytes // 8
+        assert peak < out.data.nbytes + index.nbytes + 4 * sliced
+
+    def test_a_forward_batch_without_a_tape_holds_the_pooled_nodes_and_a_few_slices(self):
+        # The GCN stack's output is (B, 62, 64), twice the pooled nodes; a
+        # forward that held it whole would peak above this bound by itself.
+        rng = np.random.default_rng(8)
+        params = init_params(5, 3, rng)
+        nodes, width = 62, params.gcn_weights[-1].shape[-1]
+        upper = np.triu(rng.uniform(0.1, 1.0, (nodes, nodes)), 1)
+        adjacency = upper + upper.T
+        laplacian = Tensor(renormalized_laplacian(adjacency))
+        x = Tensor(rng.standard_normal((16 * tensor.SLICE_ROWS, nodes, 5)))
+        results = []
+        peak = traced_peak_bytes(
+            lambda: results.append(forward_batch(params, x, laplacian, adjacency, 0.5))
+        )
+        pool = results[0][2]
+        sliced = tensor.SLICE_ROWS * nodes * width * x.data.itemsize
+        assert peak < pool.x_out.data.nbytes + pool.index.nbytes + 4 * sliced
+
+    def test_a_taped_forward_batch_keeps_no_array_over_all_nodes(self):
+        # Besides the features, whatever the tape holds has at most the
+        # pooled nodes: no (..., N, G) stack output or (..., N, 1) scores.
+        _, x, loss = batched_tiny(3, batch=20)
+        with Tape() as tape:
+            loss()
+        held = {id(t): t for e in tape.entries for t in (*e.inputs, e.output)}
+        n = x.shape[-2]
+        assert [t.shape for t in held.values() if t is not x and t.ndim > 2 and t.shape[-2] == n] == []
 
 
 def test_forward_batch_leaves_its_callers_arrays_as_they_were():
@@ -702,6 +787,20 @@ class TestForward:
         with Tape():
             with pytest.raises(DimensionError, match=r"laplacian .* 4 nodes"):
                 forward_batch(params, x, lap, adjacency, 0.5)
+        assert recorded == []
+
+    # The adjacency too, although only the pooling inside the block reads it.
+    @pytest.mark.parametrize(
+        "batch, shape", [(2, (2, 4, 4)), (33, (33, 4, 4)), (2, (1, 4, 4)), (2, (5, 5))]
+    )
+    def test_an_adjacency_other_than_n_by_n_rejected_before_any_op(self, batch, shape, monkeypatch):
+        params, x, adjacency, laplacian = tiny_setup(0)
+        x = Tensor(np.ones((batch, *x.shape[1:])), requires_grad=True)
+        recorded = []
+        monkeypatch.setattr(ops, "record_op", lambda *args, **kwargs: recorded.append(args))
+        with Tape():
+            with pytest.raises(DimensionError, match=r"adjacency .* 4 nodes"):
+                forward_batch(params, x, laplacian, np.resize(adjacency, shape), 0.5)
         assert recorded == []
 
     def test_an_empty_batch_gives_empty_outputs(self):
