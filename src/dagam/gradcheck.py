@@ -33,7 +33,7 @@ def op_entries(tape: Tape) -> Iterator[TapeEntry]:
     """The recorded ops in order, with each block entry replaced by the ops inside it.
 
     A block keeps no ops, so its function is replayed on its recorded inputs
-    onto a private tape, once per call.
+    and selected rows onto a private tape, once per call.
     """
     for entry in tape.entries:
         fn = entry.meta.get("fn") if entry.meta else None
@@ -41,7 +41,7 @@ def op_entries(tape: Tape) -> Iterator[TapeEntry]:
             yield entry
             continue
         with Tape() as inner:
-            fn(*entry.inputs)
+            fn(*entry.inputs, index=entry.meta["index"])
         yield from op_entries(inner)
 
 

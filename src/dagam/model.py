@@ -153,48 +153,39 @@ class PoolResult:
     """Retained nodes after pooling.
 
     ``x_out`` rows are the kept feature rows scaled by their scores;
-    ``adjacency`` is the graph the pool was given; ``index`` the kept node
-    indices, ascending.
+    ``index`` the kept node indices, ascending.
     """
 
     x_out: Tensor
-    adjacency: np.ndarray
     index: np.ndarray
 
-    @property
-    def a_out(self) -> np.ndarray:
-        """The induced principal submatrix of the adjacency on the kept nodes."""
-        return self.adjacency[self.index[..., :, None], self.index[..., None, :]]
 
+def sag_pool(x: Tensor, scores: Tensor, index: np.ndarray) -> Tensor:
+    """The ``index`` rows of ``x`` (..., M), each scaled by its score.
 
-def sag_pool(x: Tensor, adjacency: np.ndarray, scores: Tensor, k: float) -> PoolResult:
-    """Keep the top ceil(k*N) nodes and scale their features by their scores.
-
-    The kept nodes are ``top_rank`` of the scores. The selection is piecewise
-    constant, so gradients flow only through the score multiplication.
+    ``index`` is the selection, ``top_rank`` of the scores. It is piecewise
+    constant in them, so gradients flow only through the score multiplication.
     """
     if scores.shape != x.shape[:-1] + (1,):
         raise DimensionError(f"scores {scores.shape} must have shape {x.shape[:-1] + (1,)}")
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    n = x.shape[-2]
-    if adjacency.shape != (n, n):
-        raise DimensionError(f"adjacency {adjacency.shape} does not match {n} nodes")
-    index = top_rank(scores.data[..., 0], k)
-    x_kept = ops.gather_rows(x, index)
-    return PoolResult(ops.mul(x_kept, ops.gather_rows(scores, index)), adjacency, index)
+    return ops.mul(ops.gather_rows(x, index), ops.gather_rows(scores, index))
 
 
 def _gcn_pool(
-    x: Tensor, laplacian: Tensor, w_att: Tensor, *weights: Tensor, adjacency: np.ndarray, k: float
+    x: Tensor, laplacian: Tensor, w_att: Tensor, *weights: Tensor, k: float, index: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
     """The checkpointed block of ``forward_batch``: GCN stack, attention scores, pooling.
 
     Returns the pooled features (..., M, G) and the kept node indices (..., M).
+    The nodes are ``top_rank`` of the scores unless ``index`` gives them, as
+    the block's recompute does with the rows its forward kept.
     """
     for w in weights:
         x = gcn_layer(laplacian, x, w)
-    pool = sag_pool(x, adjacency, attention_scores(laplacian, x, w_att), k)
-    return pool.x_out, pool.index
+    scores = attention_scores(laplacian, x, w_att)
+    if index is None:
+        index = top_rank(scores.data[..., 0], k)
+    return sag_pool(x, scores, index), index
 
 
 def readout(x: Tensor) -> Tensor:
@@ -245,13 +236,13 @@ def forward_batch(
     and evaluation.
 
     ``laplacian`` and ``adjacency`` are (N, N) matrices shared by every
-    sample; another shape raises DimensionError before any op runs. The GCN
-    stack, the attention scores and the pooling run as one checkpointed
-    block on slices of ``tensor.SLICE_ROWS`` samples, with or without a
-    tape, so their buffers take one slice's memory at any batch size and a
-    tape keeps only the pooled nodes. ``top_rank`` is called once per slice
-    and again in the backward's recompute, so it must be a pure function of
-    its scores. The readout and heads run op by op on the whole batch.
+    sample and ``k`` lies in (0, 1]; anything else raises before any op
+    runs. Only the Laplacian feeds the network. The GCN stack, the attention
+    scores and the pooling run as one checkpointed block on slices of
+    ``tensor.SLICE_ROWS`` samples, with or without a tape, so their buffers
+    take one slice's memory at any batch size and a tape keeps only the
+    pooled nodes. ``top_rank`` runs once per slice, in the forward. The
+    readout and heads run op by op on the whole batch.
 
     A NaN or infinite feature raises DataError naming its first position.
     Only ``x`` is scanned: the parameters are not, since scanning them on
@@ -263,16 +254,16 @@ def forward_batch(
     n = x.shape[-2]
     if laplacian.shape != (n, n):
         raise DimensionError(f"laplacian {laplacian.shape} does not match {n} nodes")
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if adjacency.shape != (n, n):
-        raise DimensionError(f"adjacency {adjacency.shape} does not match {n} nodes")
+    if np.shape(adjacency) != (n, n):
+        raise DimensionError(f"adjacency {np.shape(adjacency)} does not match {n} nodes")
+    retained_count(k, n)
     finite = np.isfinite(x.data)
     if not finite.all():
         position = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise DataError(f"forward_batch: feature {x.data[position]} at position {position}")
-    block = partial(_gcn_pool, adjacency=adjacency, k=k)
+    block = partial(_gcn_pool, k=k)
     pooled, index = record_block("gcn_pool", block, (x, laplacian, params.w_att, *params.gcn_weights))
-    pool = PoolResult(pooled, adjacency, index)
+    pool = PoolResult(pooled, index)
     embedding = readout(pooled)
     emotion = ops.softmax_rows(_feed_forward(embedding, params.emotion))
     domain = None

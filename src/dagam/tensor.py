@@ -10,11 +10,11 @@ concurrently.
 A block (:func:`record_block`), here the model's GCN stack, attention scores
 and pooling, runs on slices of ``SLICE_ROWS`` samples, with or without a
 tape, and records them as one checkpointed entry that references only its
-inputs and its output, the pooled nodes. Its backward recomputes the block on
-the same slices, each on a private tape dropped once the slice's gradients
-are taken, and checks that each slice selects the nodes its forward selected.
-No intermediate of a block outlives its slice, and tensors made inside a
-block never get a ``grad``.
+inputs, its output (the pooled nodes) and the nodes it kept. Its backward
+recomputes the block on the same slices with those nodes, so nothing is
+selected twice, each on a private tape dropped once the slice's gradients are
+taken. No intermediate of a block outlives its slice, and tensors made inside
+a block never get a ``grad``.
 
 Tensors are single-writer: no op writes into its inputs' data, so a recorded
 tensor keeps the values it was recorded with.
@@ -97,7 +97,8 @@ class TapeEntry(NamedTuple):
     # some tensor's data: ``backward`` may adopt it as a grad buffer.
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
     # Op-specific details for tape introspection: a max's reduce axis, a
-    # block's function under "fn" (its ops are ``fn(*inputs)`` replayed).
+    # block's function under "fn" and its selected rows under "index" (its
+    # ops are ``fn(*inputs, index=index)`` replayed).
     meta: dict | None
 
 
@@ -152,19 +153,19 @@ def record_block(
     index array the block returns: at any batch size the forward holds those
     plus one slice's intermediates. The active tape gets one entry (when some
     input requires a gradient) that references only ``inputs``, the output
-    and the index. Its backward recomputes ``fn`` on the same slices, each on a
-    private tape, raises ContractError naming ``op`` when a slice selects
-    other rows than its forward did, and sums every slice's gradients into
-    one table: the first input's slices fill one array, and an input passed
-    twice gets its total once.
+    and the index. Its backward recomputes ``fn(*inputs, index=rows)`` on the
+    same slices, each on a private tape, where ``rows`` are the rows that
+    slice's forward selected, so ``fn`` must use them rather than select
+    again. It sums every slice's gradients into one table: the first input's
+    slices fill one array, and an input passed twice gets its total once.
 
     The contract: the first input is (..., N, F), checked before any slice
     runs, and each slice's output is (..., M, G) and its index (..., M) with
     the slice's leading axes, checked before they are written. ``fn`` must
     also be row-independent over the flattened leading axes (a 2-D sample is
-    one slice: the trailing pair is never split), read only ``inputs`` and
-    what it binds itself, and, since it is recomputed in backward, be a pure
-    function of the inputs' data, which must stay unchanged until then.
+    one slice: the trailing pair is never split), and read only ``inputs``,
+    ``index`` and what it binds itself. Since it is recomputed in backward,
+    the inputs' data and the returned index must stay unchanged until then.
     """
     first, rest = inputs[0], inputs[1:]
     if first.ndim < 2:
@@ -192,12 +193,7 @@ def record_block(
         for s in slices:
             part = Tensor(rows[s], requires_grad=first.requires_grad)
             with Tape() as tape:
-                part_out, part_index = fn(part, *rest)
-            if not np.array_equal(part_index, kept[s]):
-                raise ContractError(
-                    f"{op}: the recompute of samples from {s.start} selected other rows than the "
-                    "forward; the block must be a pure function of its inputs"
-                )
+                part_out, _ = fn(part, *rest, index=kept[s])
             flowing = {**totals, part_out: upstream[s]}
             _propagate(tape.entries, flowing)
             if grad_first is not None:
@@ -205,7 +201,7 @@ def record_block(
             totals = {t: flowing[t] for t in rest if t in flowing}
         return (grad_first, *(totals.pop(t, None) for t in rest))
 
-    return record_op(op, inputs, out, backward, {"fn": fn}), index
+    return record_op(op, inputs, out, backward, {"fn": fn, "index": index}), index
 
 
 def _contract_broken(op: str, got) -> ContractError:

@@ -105,8 +105,7 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
     fd(emotion) + fd(domain) for the head parameters. The pooling selection
     is frozen at the unperturbed scores since it is piecewise constant (by
     swapping ``model.top_rank``, the seam ``forward_batch`` ranks through once
-    per slice and again in the backward's recompute; the frozen index is a
-    pure function of the scores, as the recompute's check requires), and
+    per slice, so every finite-difference forward keeps the same nodes), and
     instances whose relu/max inputs sit within ``margin`` of a kink are
     deterministically reseeded (finite differences straddle the kink there).
     """

@@ -43,7 +43,7 @@ def test_relu_kink_inside_a_gcn_layer_rejected():
     w = Tensor([[1.0], [1.0]], requires_grad=True)
     w_att = Tensor([[1.0]], requires_grad=True)
     lap = Tensor(np.eye(2))
-    block = partial(model._gcn_pool, adjacency=np.eye(2), k=1.0)
+    block = partial(model._gcn_pool, k=1.0)
 
     def f(x_, w_):
         pooled, _ = record_block("gcn_pool", block, (x_, lap, w_att, w_))

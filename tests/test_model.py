@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from dagam import Tape, Tensor, backward
 from dagam import model, ops, tensor
 from dagam.errors import ConfigError, ContractError, DataError, DegenerateInputError, DimensionError
-from dagam.gradcheck import op_entries
+from dagam.gradcheck import nonsmooth_margin, op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
     attention_scores,
@@ -135,7 +135,7 @@ def block_setup(rng, shape, widths, k=0.5):
     sizes = [features, *widths]
     weights = [Tensor(rng.standard_normal(io), requires_grad=True) for io in zip(sizes[:-1], sizes[1:])]
     w_att = Tensor(rng.standard_normal((sizes[-1], 1)), requires_grad=True)
-    return partial(model._gcn_pool, adjacency=adjacency, k=k), (x, lap, w_att, *weights)
+    return partial(model._gcn_pool, k=k), (x, lap, w_att, *weights)
 
 
 def plain_block(block, x, lap, w_att, *weights):
@@ -144,8 +144,8 @@ def plain_block(block, x, lap, w_att, *weights):
     for w in weights:
         h = plain_gcn_layer(lap, h, w)
     scores = ops.tanh(plain_propagation(lap, h, w_att))
-    pool = sag_pool(h, block.keywords["adjacency"], scores, block.keywords["k"])
-    return pool.x_out, pool.index
+    index = top_rank(scores.data[..., 0], block.keywords["k"])
+    return sag_pool(h, scores, index), index
 
 
 def made_inside_blocks(monkeypatch):
@@ -270,7 +270,7 @@ class TestGcnBlock:
             plain_gcn_layer(lap, x, w)
         assert tape_data_bytes(plain) - given == 3 * output_sized
         w_att = Tensor(rng.standard_normal((width, 1)), requires_grad=True)
-        block = partial(model._gcn_pool, adjacency=np.eye(nodes), k=0.6)
+        block = partial(model._gcn_pool, k=0.6)
         with Tape() as blocked:
             record_block("gcn_pool", block, (x, lap, w_att, w))
         pooled = batch * retained_count(0.6, nodes) * width * x.data.itemsize
@@ -338,7 +338,7 @@ class TestGcnBlock:
         x = Tensor(np.ones((4, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
         w_att = Tensor(np.ones((1, 1)), requires_grad=True)
-        block = partial(model._gcn_pool, adjacency=np.eye(4), k=0.5)
+        block = partial(model._gcn_pool, k=0.5)
         stack = tensor._STATE.stack
         with Tape() as tape:
             with pytest.raises(DimensionError):
@@ -354,7 +354,7 @@ class TestGcnBlock:
         w = Tensor(np.ones((2, 3)), requires_grad=True)
         w_att = Tensor(np.ones((3, 1)), requires_grad=True)
         lap = Tensor(np.eye(4))
-        block = partial(model._gcn_pool, adjacency=np.eye(4), k=0.5)
+        block = partial(model._gcn_pool, k=0.5)
         with Tape() as tape:
             pooled, _ = record_block("gcn_pool", block, (x, lap, w_att, w))
             loss = ops.reduce_sum(pooled)
@@ -371,25 +371,37 @@ class TestGcnBlock:
         assert tensor._STATE.stack is stack and not stack
         assert x.grad is None and w.grad is None and w_att.grad is None
 
-    def test_a_top_rank_that_is_not_a_function_of_its_scores_fails_the_recompute(self, monkeypatch):
-        # A seam that draws a fresh random subset on every call, as a random
-        # pooling control might, keeps other nodes in the backward's
-        # recompute than in the forward: the gradients would belong to nodes
-        # the forward never kept.
-        draws = np.random.default_rng(0)
+    def test_backward_and_margin_keep_the_forwards_selection(self, monkeypatch):
+        # top_rank runs once per slice in the forward. The backward's
+        # recompute and the margin's replay take the rows the forward kept, so
+        # a seam that raises once the forward is done changes nothing.
+        top = model.top_rank
+        calls = []
 
-        def fresh_draw(scores, k):
-            order = np.argsort(draws.random(scores.shape), axis=-1)
-            return np.sort(order[..., : retained_count(k, scores.shape[-1])], axis=-1)
+        def counted(scores, k):
+            calls.append(scores.shape)
+            return top(scores, k)
 
-        monkeypatch.setattr(model, "top_rank", fresh_draw)
-        params, x, loss = batched_tiny(6, batch=40)
-        with Tape() as tape:
-            out = loss()
-        with pytest.raises(ContractError, match="gcn_pool: the recompute of samples from 0"):
+        def fails(scores, k):
+            raise AssertionError("top_rank called after the forward")
+
+        def run(swap):
+            monkeypatch.setattr(model, "top_rank", counted)
+            params, x, loss = batched_tiny(6, batch=40)  # five slices
+            with Tape() as tape:
+                out = loss()
+            if swap:
+                monkeypatch.setattr(model, "top_rank", fails)
             backward(out, tape)
-        assert tensor._STATE.stack == []
-        assert all(t.grad is None for t in (x, *params.all_params()))
+            return nonsmooth_margin(tape), [t.grad for t in (x, *params.all_params())]
+
+        margin, grads = run(swap=False)
+        calls.clear()
+        swapped_margin, swapped = run(swap=True)
+        assert calls == [(tensor.SLICE_ROWS, 4)] * 5
+        assert swapped_margin == margin
+        for g, g_swapped in zip(grads, swapped):
+            np.testing.assert_array_equal(g_swapped, g)
 
 
 class TestCheckpointSlicing:
@@ -415,9 +427,9 @@ class TestCheckpointSlicing:
         block, (x, lap, *params) = block_setup(rng, shape, (4, 2))
         seen = []
 
-        def recorded_block(first, *rest):
+        def recorded_block(first, *rest, **selected):
             seen.append(first.shape)
-            return block(first, *rest)
+            return block(first, *rest, **selected)
 
         out_shape = block(x, lap, *params)[0].shape
         mix = rng.standard_normal(out_shape)
@@ -640,63 +652,44 @@ class TestTopRank:
 class TestSagPool:
     def test_identity_when_everything_kept_with_unit_scores(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        a = np.eye(4)
         scores = Tensor(np.ones((4, 1)))
-        pool = sag_pool(x, a, scores, 1.0)
-        np.testing.assert_array_equal(pool.x_out.data, x.data)
-        np.testing.assert_array_equal(pool.a_out, a)
-        np.testing.assert_array_equal(pool.index, [0, 1, 2, 3])
+        out = sag_pool(x, scores, top_rank(scores.data[..., 0], 1.0))
+        np.testing.assert_array_equal(out.data, x.data)
 
-    def test_selection_scaling_and_submatrix(self):
+    def test_kept_rows_scaled_by_their_scores(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((4, 3)))
-        a = rng.uniform(0, 1, (4, 4))
-        a = (a + a.T) / 2
         scores = Tensor(np.array([[0.9], [0.1], [0.5], [0.7]]))
-        pool = sag_pool(x, a, scores, 0.5)
-        np.testing.assert_array_equal(pool.index, [0, 3])
-        np.testing.assert_allclose(pool.x_out.data[0], 0.9 * x.data[0])
-        np.testing.assert_allclose(pool.x_out.data[1], 0.7 * x.data[3])
-        np.testing.assert_array_equal(pool.a_out, a[np.ix_([0, 3], [0, 3])])
-
-    def test_batched_a_out_is_each_rows_submatrix(self):
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.standard_normal((3, 5, 2)))
-        a = rng.uniform(0, 1, (5, 5))
-        a = (a + a.T) / 2
-        pool = sag_pool(x, a, Tensor(rng.standard_normal((3, 5, 1))), 0.6)
-        assert pool.a_out.shape == (3, 3, 3)
-        for b in range(3):
-            np.testing.assert_array_equal(pool.a_out[b], a[np.ix_(pool.index[b], pool.index[b])])
+        out = sag_pool(x, scores, np.array([0, 3]))
+        np.testing.assert_allclose(out.data[0], 0.9 * x.data[0])
+        np.testing.assert_allclose(out.data[1], 0.7 * x.data[3])
 
     @pytest.mark.parametrize("columns", [2, 3])
     def test_scores_with_more_than_one_column_rejected(self, columns):
         # With as many columns as features, the score product would broadcast.
         x = Tensor(np.ones((4, 3)))
         with pytest.raises(DimensionError, match="must have shape"):
-            sag_pool(x, np.eye(4), Tensor(np.ones((4, columns))), 0.5)
+            sag_pool(x, Tensor(np.ones((4, columns))), np.array([0, 1]))
 
     def test_gradient_reaches_attention_weights(self):
-        params, x, adjacency, laplacian = tiny_setup(3)
+        params, x, _, laplacian = tiny_setup(3)
         with Tape() as tape:
-            h = x
-            for w in params.gcn_weights:
-                h = gcn_layer(laplacian, h, w)
-            scores = attention_scores(laplacian, h, params.w_att)
-            pool = sag_pool(h, adjacency, scores, 0.5)
-            loss = ops.reduce_sum(pool.x_out)
+            pooled, _ = model._gcn_pool(x, laplacian, params.w_att, *params.gcn_weights, k=0.5)
+            loss = ops.reduce_sum(pooled)
         backward(loss, tape)
         assert params.w_att.grad is not None
         assert np.abs(params.w_att.grad).max() > 0
 
     @pytest.mark.parametrize("k", [i / 10 for i in range(1, 11)])
     def test_node_count_exactly_ceil_k_n(self, k):
+        # The block with no GCN layer: attention on the features, then pooling.
         rng = np.random.default_rng(17)
         for n in range(1, 63):
             x = Tensor(rng.standard_normal((n, 2)))
-            scores = Tensor(rng.standard_normal((n, 1)))
-            pool = sag_pool(x, np.eye(n), scores, k)
-            assert pool.x_out.shape[0] == retained_count(k, n)
+            w_att = Tensor(rng.standard_normal((2, 1)))
+            pooled, index = model._gcn_pool(x, Tensor(np.eye(n)), w_att, k=k)
+            assert pooled.shape == (retained_count(k, n), 2)
+            assert index.shape == (retained_count(k, n),)
 
 
 class TestReadout:
@@ -789,7 +782,7 @@ class TestForward:
                 forward_batch(params, x, lap, adjacency, 0.5)
         assert recorded == []
 
-    # The adjacency too, although only the pooling inside the block reads it.
+    # The adjacency too, although nothing past the check reads it.
     @pytest.mark.parametrize(
         "batch, shape", [(2, (2, 4, 4)), (33, (33, 4, 4)), (2, (1, 4, 4)), (2, (5, 5))]
     )
@@ -802,6 +795,18 @@ class TestForward:
             with pytest.raises(DimensionError, match=r"adjacency .* 4 nodes"):
                 forward_batch(params, x, laplacian, np.resize(adjacency, shape), 0.5)
         assert recorded == []
+
+    @pytest.mark.parametrize("k", [0.0, 1.5, math.nan])
+    def test_a_ratio_outside_zero_to_one_rejected_before_any_op(self, k, monkeypatch):
+        params, _, adjacency, laplacian = tiny_setup(0)
+        x = Tensor(np.ones((20, 4, 3)), requires_grad=True)
+        products = []
+        matmul = ops.matmul
+        monkeypatch.setattr(ops, "matmul", lambda a, b: products.append(a) or matmul(a, b))
+        with Tape() as tape:
+            with pytest.raises(ConfigError, match="pooling ratio"):
+                forward_batch(params, x, laplacian, adjacency, k)
+        assert products == [] and len(tape) == 0
 
     def test_an_empty_batch_gives_empty_outputs(self):
         params, x, adjacency, laplacian = tiny_setup(0)

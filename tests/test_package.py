@@ -86,3 +86,35 @@ def test_every_private_function_is_referenced():
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(private - read) == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """Parameters of a function or lambda that its body never reads; protocol dunders are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+            if name.startswith("__") and name.endswith("__"):
+                continue
+        else:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        hits += [f"{path}:{node.lineno} {name}({p.arg})" for p in params if p and p.arg not in read]
+    return hits
+
+
+def test_no_parameter_is_unread():
+    src = Path(__file__).resolve().parents[1] / "src"
+    files = sorted(src.rglob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _unread_parameters(path)] == []
