@@ -63,16 +63,6 @@ def nonsmooth_margin(tape: Tape) -> float:
     return closest
 
 
-def reject_nonsmooth(tape: Tape, margin: float) -> None:
-    """Raise if any recorded op was evaluated within ``margin`` of a kink."""
-    closest = nonsmooth_margin(tape)
-    if closest <= margin:
-        raise ContractError(
-            f"inputs sit {closest:g} from a non-smooth point (<= step {margin:g}); "
-            "finite differences are unreliable there"
-        )
-
-
 def finite_difference(
     f: Callable[[], float], tensors: Sequence[Tensor], h: float = 1e-4
 ) -> list[np.ndarray]:
@@ -116,7 +106,12 @@ def grad_check(
         out = f(*inputs)
     if out.size != 1:
         raise ContractError(f"grad_check needs a scalar-valued function, got shape {out.shape}")
-    reject_nonsmooth(tape, h)
+    closest = nonsmooth_margin(tape)
+    if closest <= h:
+        raise ContractError(
+            f"inputs sit {closest:g} from a non-smooth point (<= step {h:g}); "
+            "finite differences are unreliable there"
+        )
     for t in inputs:
         t.grad = None
     backward(out, tape)

@@ -59,16 +59,12 @@ class Adjacency:
     names: tuple[str, ...]
 
 
-def pairwise_distances(layout: ElectrodeLayout) -> np.ndarray:
-    diff = layout.positions[:, None, :] - layout.positions[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
-
-
 def build_adjacency(layout: ElectrodeLayout, sigma: float) -> Adjacency:
     """Distance-derived adjacency A_ij = min(1, sigma / d_ij^2), zero diagonal."""
     if not 0 < sigma < np.inf:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
-    d = pairwise_distances(layout)
+    diff = layout.positions[:, None, :] - layout.positions[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=-1))
     n = len(layout)
     off = ~np.eye(n, dtype=bool)
     if (d[off] == 0).any():

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DataError, DegenerateInputError, DimensionError
+from .errors import ConfigError, DataError, DegenerateInputError, DimensionError, GraphError
 from .tensor import Tensor, record_block, record_op
 
 DEFAULT_GCN_HIDDEN = (64, 64, 64)
@@ -32,7 +32,7 @@ def retained_count(k: float, n: int) -> int:
     if not 0.0 < k <= 1.0:
         raise ConfigError(f"pooling ratio must lie in (0, 1], got {k}")
     if n < 1:
-        raise ConfigError(f"node count must be positive, got {n}")
+        raise DegenerateInputError(f"node count must be positive, got {n}")
     return max(1, math.ceil(k * n - 1e-9))
 
 
@@ -227,13 +227,13 @@ def forward_batch(
     lam: float = 1.0,
     domain_head: bool = True,
 ):
-    """Run the network on (..., B, N, F) features; a single sample is a batch of one.
+    """Run the network on (B, N, F) features; a single sample is a batch of one.
 
-    Returns (emotion probabilities (..., B, C), domain probabilities
-    (..., B, 2) or None, PoolResult). Pooling keeps the ``top_rank`` nodes
-    of the attention scores at ratio ``k``; ``lam`` is the reversal strength
-    in front of the domain head, which can be skipped entirely for ablations
-    and evaluation.
+    Returns (emotion probabilities (B, C), domain probabilities (B, 2) or
+    None, PoolResult of (B, M, G) pooled nodes and their (B, M) indices).
+    Pooling keeps the ``top_rank`` nodes of the attention scores at ratio
+    ``k``; ``lam`` is the reversal strength in front of the domain head,
+    which can be skipped entirely for ablations and evaluation.
 
     ``laplacian`` and ``adjacency`` are (N, N) matrices shared by every
     sample and ``k`` lies in (0, 1]; anything else raises before any op
@@ -244,16 +244,20 @@ def forward_batch(
     pooled nodes. ``top_rank`` runs once per slice, in the forward. The
     readout and heads run op by op on the whole batch.
 
-    A NaN or infinite feature raises DataError naming its first position.
-    Only ``x`` is scanned: the parameters are not, since scanning them on
-    every call would cost a batch-1 request more than its features do; a
-    training loop is the place to check them once per step.
+    A NaN or infinite feature raises DataError naming its first position,
+    and a non-finite Laplacian entry GraphError naming its own. Only ``x``
+    and the Laplacian are scanned: the parameters are not, since scanning
+    them on every call would cost a batch-1 request more than its features
+    do; a training loop is the place to check them once per step.
     """
-    if x.ndim < 3:
-        raise DimensionError(f"expected (..., B, N, F) features, got {x.shape}")
+    if x.ndim != 3:
+        raise DimensionError(f"expected (B, N, F) features, got {x.shape}")
     n = x.shape[-2]
     if laplacian.shape != (n, n):
         raise DimensionError(f"laplacian {laplacian.shape} does not match {n} nodes")
+    if not np.isfinite(laplacian.data).all():
+        i, j = np.argwhere(~np.isfinite(laplacian.data))[0]
+        raise GraphError(f"laplacian must be finite; entry ({i}, {j}) is {laplacian.data[i, j]}")
     if np.shape(adjacency) != (n, n):
         raise DimensionError(f"adjacency {np.shape(adjacency)} does not match {n} nodes")
     retained_count(k, n)

@@ -8,13 +8,13 @@ the active-tape stack is thread-local so independent runs can execute
 concurrently.
 
 A block (:func:`record_block`), here the model's GCN stack, attention scores
-and pooling, runs on slices of ``SLICE_ROWS`` samples, with or without a
-tape, and records them as one checkpointed entry that references only its
-inputs, its output (the pooled nodes) and the nodes it kept. Its backward
-recomputes the block on the same slices with those nodes, so nothing is
-selected twice, each on a private tape dropped once the slice's gradients are
-taken. No intermediate of a block outlives its slice, and tensors made inside
-a block never get a ``grad``.
+and pooling, runs on a (B, N, F) batch in slices of ``SLICE_ROWS`` samples,
+with or without a tape, and records them as one checkpointed entry that
+references only its inputs, its output (the pooled nodes) and the nodes it
+kept. Its backward recomputes the block on the same slices with those nodes,
+so nothing is selected twice, each on a private tape dropped once the slice's
+gradients are taken. No intermediate of a block outlives its slice, and
+tensors made inside a block never get a ``grad``.
 
 Tensors are single-writer: no op writes into its inputs' data, so a recorded
 tensor keeps the values it was recorded with.
@@ -159,45 +159,42 @@ def record_block(
     again. It sums every slice's gradients into one table: the first input's
     slices fill one array, and an input passed twice gets its total once.
 
-    The contract: the first input is (..., N, F), checked before any slice
-    runs, and each slice's output is (..., M, G) and its index (..., M) with
-    the slice's leading axes, checked before they are written. ``fn`` must
-    also be row-independent over the flattened leading axes (a 2-D sample is
-    one slice: the trailing pair is never split), and read only ``inputs``,
-    ``index`` and what it binds itself. Since it is recomputed in backward,
-    the inputs' data and the returned index must stay unchanged until then.
+    The contract: the first input is a (B, N, F) batch, checked before any
+    slice runs, and ``fn`` maps each slice of b samples to a (b, M, G) output
+    and (b, M) rows, checked before they are written. ``fn`` must also be
+    row-independent over the samples, and read only ``inputs``, ``index``
+    and what it binds itself. Since it is recomputed in backward, the inputs'
+    data and the returned index must stay unchanged until then.
     """
     first, rest = inputs[0], inputs[1:]
-    if first.ndim < 2:
+    if first.ndim != 3:
         raise _contract_broken(op, first.shape)
-    rows = _sample_rows(first.data)
-    slices = [slice(lo, lo + SLICE_ROWS) for lo in range(0, max(len(rows), 1), SLICE_ROWS)]
+    batch = len(first.data)
+    slices = [slice(lo, lo + SLICE_ROWS) for lo in range(0, max(batch, 1), SLICE_ROWS)]
     constants = [Tensor(t.data) for t in rest]
     for s in slices:
-        part = Tensor(rows[s])
+        part = Tensor(first.data[s])
         part_out, part_index = fn(part, *constants)
-        if part_out.shape[:-2] != part.shape[:-2] or part_index.shape != part_out.shape[:-1]:
+        if part_out.shape[:-2] != part.shape[:1] or part_index.shape != part_out.shape[:-1]:
             raise _contract_broken(op, f"{part.shape} -> {part_out.shape} and {part_index.shape}")
         if s.start == 0:
-            out = np.empty(first.shape[:-2] + part_out.shape[-2:])
-            index = np.empty(first.shape[:-2] + part_index.shape[-1:], part_index.dtype)
-            kept = index.reshape(-1, index.shape[-1])
-        _sample_rows(out)[s] = part_out.data
-        kept[s] = part_index
+            out = np.empty((batch, *part_out.shape[1:]))
+            index = np.empty((batch, part_index.shape[1]), part_index.dtype)
+        out[s] = part_out.data
+        index[s] = part_index
         del part_out  # not held while the next slice runs
 
     def backward(g):
-        upstream = _sample_rows(g)
         grad_first = np.empty(first.shape) if first.requires_grad else None
         totals: dict[Tensor, np.ndarray] = {}
         for s in slices:
-            part = Tensor(rows[s], requires_grad=first.requires_grad)
+            part = Tensor(first.data[s], requires_grad=first.requires_grad)
             with Tape() as tape:
-                part_out, _ = fn(part, *rest, index=kept[s])
-            flowing = {**totals, part_out: upstream[s]}
+                part_out, _ = fn(part, *rest, index=index[s])
+            flowing = {**totals, part_out: g[s]}
             _propagate(tape.entries, flowing)
             if grad_first is not None:
-                _sample_rows(grad_first)[s] = flowing.get(part, 0.0)
+                grad_first[s] = flowing.get(part, 0.0)
             totals = {t: flowing[t] for t in rest if t in flowing}
         return (grad_first, *(totals.pop(t, None) for t in rest))
 
@@ -206,14 +203,9 @@ def record_block(
 
 def _contract_broken(op: str, got) -> ContractError:
     return ContractError(
-        f"{op}: a block maps (..., N, F) to (..., M, G) and (..., M) rows with the same "
-        f"leading axes, got {got}"
+        f"{op}: a block maps a (B, N, F) batch, b samples per slice, to a (b, M, G) "
+        f"output and (b, M) rows, got {got}"
     )
-
-
-def _sample_rows(a: np.ndarray) -> np.ndarray:
-    """``a`` as a stack of (N, F) samples: leading axes flattened, a 2-D sample as one."""
-    return a.reshape(-1, *a.shape[-2:])
 
 
 def _propagate(entries: list[TapeEntry], flowing: dict[Tensor, np.ndarray]) -> None:

@@ -39,7 +39,7 @@ def test_relu_kink_inside_a_gcn_layer_rejected():
     # x W has an exact zero, so the layer's relu sits on its kink; the tape
     # holds the GCN stack, attention and pooling as one checkpointed entry
     # that keeps no ops, which the check must replay to look inside.
-    x = Tensor([[1.0, -1.0], [2.0, 0.5]], requires_grad=True)
+    x = Tensor([[[1.0, -1.0], [2.0, 0.5]]], requires_grad=True)
     w = Tensor([[1.0], [1.0]], requires_grad=True)
     w_att = Tensor([[1.0]], requires_grad=True)
     lap = Tensor(np.eye(2))
