@@ -49,6 +49,8 @@ class Recording:
     label: int
 
     def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise DataError("samples must be real; found complex values")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2:
             raise DataError(f"samples must be channels x time, got shape {self.samples.shape}")

@@ -115,9 +115,10 @@ def gcn_layer(laplacian: Tensor, x: Tensor, w: Tensor) -> Tensor:
 
     The product is associated as L (x W) when W narrows the features and as
     (L x) W otherwise, so the node-mixing product runs on the narrower side.
-    ``forward_batch`` runs the layers, the attention scores and the pooling
-    inside one checkpointed block, on slices of ``tensor.SLICE_ROWS``
-    samples, which keeps none of their intermediates past a slice.
+    ``forward_batch`` runs the layers, the attention scores, the pooling and
+    the readout inside one checkpointed block, on slices of
+    ``tensor.SLICE_ROWS`` samples, which keeps none of their intermediates
+    past a slice.
     """
     return ops.relu(_propagation(laplacian, x, w))
 
@@ -148,18 +149,6 @@ def top_rank(scores: np.ndarray, k: float) -> np.ndarray:
     return np.sort(order, axis=-1)
 
 
-@dataclass
-class PoolResult:
-    """Retained nodes after pooling.
-
-    ``x_out`` rows are the kept feature rows scaled by their scores;
-    ``index`` the kept node indices, ascending.
-    """
-
-    x_out: Tensor
-    index: np.ndarray
-
-
 def sag_pool(x: Tensor, scores: Tensor, index: np.ndarray) -> Tensor:
     """The ``index`` rows of ``x`` (..., M), each scaled by its score.
 
@@ -171,21 +160,21 @@ def sag_pool(x: Tensor, scores: Tensor, index: np.ndarray) -> Tensor:
     return ops.mul(ops.gather_rows(x, index), ops.gather_rows(scores, index))
 
 
-def _gcn_pool(
+def _gcn_embedding(
     x: Tensor, laplacian: Tensor, w_att: Tensor, *weights: Tensor, k: float, index: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
-    """The checkpointed block of ``forward_batch``: GCN stack, attention scores, pooling.
+    """The checkpointed block of ``forward_batch``: GCN stack, attention scores, pooling, readout.
 
-    Returns the pooled features (..., M, G) and the kept node indices (..., M).
-    The nodes are ``top_rank`` of the scores unless ``index`` gives them, as
-    the block's recompute does with the rows its forward kept.
+    Returns the embedding (..., 2G) and the kept node indices (..., M). The
+    nodes are ``top_rank`` of the scores unless ``index`` gives them, as the
+    block's recompute does with the rows its forward kept.
     """
     for w in weights:
         x = gcn_layer(laplacian, x, w)
     scores = attention_scores(laplacian, x, w_att)
     if index is None:
         index = top_rank(scores.data[..., 0], k)
-    return sag_pool(x, scores, index), index
+    return readout(sag_pool(x, scores, index)), index
 
 
 def readout(x: Tensor) -> Tensor:
@@ -230,7 +219,7 @@ def forward_batch(
     """Run the network on (B, N, F) features; a single sample is a batch of one.
 
     Returns (emotion probabilities (B, C), domain probabilities (B, 2) or
-    None, PoolResult of (B, M, G) pooled nodes and their (B, M) indices).
+    None, the (B, M) indices of the nodes pooling kept).
     Pooling keeps the ``top_rank`` nodes of the attention scores at ratio
     ``k``; ``lam`` is the reversal strength in front of the domain head,
     which can be skipped entirely for ablations and evaluation.
@@ -238,11 +227,11 @@ def forward_batch(
     ``laplacian`` and ``adjacency`` are (N, N) matrices shared by every
     sample and ``k`` lies in (0, 1]; anything else raises before any op
     runs. Only the Laplacian feeds the network. The GCN stack, the attention
-    scores and the pooling run as one checkpointed block on slices of
-    ``tensor.SLICE_ROWS`` samples, with or without a tape, so their buffers
-    take one slice's memory at any batch size and a tape keeps only the
-    pooled nodes. ``top_rank`` runs once per slice, in the forward. The
-    readout and heads run op by op on the whole batch.
+    scores, the pooling and the readout run as one checkpointed block on
+    slices of ``tensor.SLICE_ROWS`` samples, with or without a tape, so their
+    buffers take one slice's memory at any batch size and a tape keeps only
+    the (B, 2G) embedding. ``top_rank`` runs once per slice, in the forward.
+    The heads run op by op on the whole batch.
 
     A NaN or infinite feature raises DataError naming its first position,
     and a non-finite Laplacian entry GraphError naming its own. Only ``x``
@@ -265,12 +254,10 @@ def forward_batch(
     if not finite.all():
         position = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise DataError(f"forward_batch: feature {x.data[position]} at position {position}")
-    block = partial(_gcn_pool, k=k)
-    pooled, index = record_block("gcn_pool", block, (x, laplacian, params.w_att, *params.gcn_weights))
-    pool = PoolResult(pooled, index)
-    embedding = readout(pooled)
+    block = partial(_gcn_embedding, k=k)
+    embedding, index = record_block("gcn_embedding", block, (x, laplacian, params.w_att, *params.gcn_weights))
     emotion = ops.softmax_rows(_feed_forward(embedding, params.emotion))
     domain = None
     if domain_head:
         domain = ops.softmax_rows(_feed_forward(grad_reverse(embedding, lam), params.domain))
-    return emotion, domain, pool
+    return emotion, domain, index

@@ -7,14 +7,14 @@ are recorded as they run, the record is already topologically sorted and
 the active-tape stack is thread-local so independent runs can execute
 concurrently.
 
-A block (:func:`record_block`), here the model's GCN stack, attention scores
-and pooling, runs on a (B, N, F) batch in slices of ``SLICE_ROWS`` samples,
-with or without a tape, and records them as one checkpointed entry that
-references only its inputs, its output (the pooled nodes) and the nodes it
-kept. Its backward recomputes the block on the same slices with those nodes,
-so nothing is selected twice, each on a private tape dropped once the slice's
-gradients are taken. No intermediate of a block outlives its slice, and
-tensors made inside a block never get a ``grad``.
+A block (:func:`record_block`), here the model's GCN stack, attention scores,
+pooling and readout, runs on a (B, N, F) batch in slices of ``SLICE_ROWS``
+samples, with or without a tape, and records them as one checkpointed entry
+that references only its inputs, its output (the (B, 2G) embedding) and the
+nodes it kept. Its backward recomputes the block on the same slices with
+those nodes, so nothing is selected twice, each on a private tape dropped
+once the slice's gradients are taken. No intermediate of a block outlives its
+slice, and tensors made inside a block never get a ``grad``.
 
 Tensors are single-writer: no op writes into its inputs' data, so a recorded
 tensor keeps the values it was recorded with.
@@ -146,25 +146,26 @@ def record_block(
     """``fn(*inputs)`` run in slices, recorded as one checkpointed entry when a tape is active.
 
     ``fn`` returns an output and the integer rows it selected per sample, as
-    the model's GCN stack, attention and pooling return the pooled nodes and
-    their indices. It runs on slices of ``SLICE_ROWS`` samples of the first
-    input, with gradient-free wrappers of the others so that none of its ops
-    records, and each slice's results are written into the one output and
-    index array the block returns: at any batch size the forward holds those
-    plus one slice's intermediates. The active tape gets one entry (when some
-    input requires a gradient) that references only ``inputs``, the output
-    and the index. Its backward recomputes ``fn(*inputs, index=rows)`` on the
-    same slices, each on a private tape, where ``rows`` are the rows that
-    slice's forward selected, so ``fn`` must use them rather than select
-    again. It sums every slice's gradients into one table: the first input's
-    slices fill one array, and an input passed twice gets its total once.
+    the model's GCN stack, attention, pooling and readout return the
+    embedding and the indices of the nodes pooling kept. It runs on slices of
+    ``SLICE_ROWS`` samples of the first input, with gradient-free wrappers of
+    the others so that none of its ops records, and each slice's results are
+    written into the one output and index array the block returns: at any
+    batch size the forward holds those plus one slice's intermediates. The
+    active tape gets one entry (when some input requires a gradient) that
+    references only ``inputs``, the output and the index. Its backward
+    recomputes ``fn(*inputs, index=rows)`` on the same slices, each on a
+    private tape, where ``rows`` are the rows that slice's forward selected,
+    so ``fn`` must use them rather than select again. It sums every slice's
+    gradients into one table: the first input's slices fill one array, and an
+    input passed twice gets its total once.
 
     The contract: the first input is a (B, N, F) batch, checked before any
-    slice runs, and ``fn`` maps each slice of b samples to a (b, M, G) output
-    and (b, M) rows, checked before they are written. ``fn`` must also be
-    row-independent over the samples, and read only ``inputs``, ``index``
-    and what it binds itself. Since it is recomputed in backward, the inputs'
-    data and the returned index must stay unchanged until then.
+    slice runs, and ``fn`` maps each slice of b samples to an output with
+    leading axis b and (b, M) rows, checked before they are written. ``fn``
+    must also be row-independent over the samples, and read only ``inputs``,
+    ``index`` and what it binds itself. Since it is recomputed in backward,
+    the inputs' data and the returned index must stay unchanged until then.
     """
     first, rest = inputs[0], inputs[1:]
     if first.ndim != 3:
@@ -175,7 +176,8 @@ def record_block(
     for s in slices:
         part = Tensor(first.data[s])
         part_out, part_index = fn(part, *constants)
-        if part_out.shape[:-2] != part.shape[:1] or part_index.shape != part_out.shape[:-1]:
+        b = part.shape[:1]
+        if part_out.shape[:1] != b or part_index.ndim != 2 or part_index.shape[:1] != b:
             raise _contract_broken(op, f"{part.shape} -> {part_out.shape} and {part_index.shape}")
         if s.start == 0:
             out = np.empty((batch, *part_out.shape[1:]))
@@ -203,8 +205,8 @@ def record_block(
 
 def _contract_broken(op: str, got) -> ContractError:
     return ContractError(
-        f"{op}: a block maps a (B, N, F) batch, b samples per slice, to a (b, M, G) "
-        f"output and (b, M) rows, got {got}"
+        f"{op}: a block maps a (B, N, F) batch, b samples per slice, to an output "
+        f"with leading axis b and (b, M) rows, got {got}"
     )
 
 

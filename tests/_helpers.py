@@ -112,7 +112,7 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
     for attempt in range(64):
         params, x, adjacency, laplacian = tiny_setup(seed + 7919 * attempt)
         with Tape() as probe:
-            _, _, pool = forward_batch(params, x, laplacian, adjacency, k, lam)
+            _, _, frozen = forward_batch(params, x, laplacian, adjacency, k, lam)
         if _model_margin(probe) > margin:
             break
     else:
@@ -120,7 +120,6 @@ def tiny_model_grad_error(seed, k=0.5, lam=1.0, h=1e-4, margin=5e-4):
     rng = np.random.default_rng(seed + 1)
     mix_emotion = Tensor(rng.standard_normal((1, params.n_classes)))
     mix_domain = Tensor(rng.standard_normal((1, 2)))
-    frozen = pool.index
 
     def branches(lam_value):
         emo, dom, _ = forward_batch(params, x, laplacian, adjacency, k, lam_value)

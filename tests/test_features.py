@@ -404,3 +404,10 @@ def test_recording_rejects_non_finite_samples(bad):
     samples[1, 17] = bad
     with pytest.raises(DataError):
         Recording(samples, 200.0, "s", 0, 0)
+
+
+@pytest.mark.parametrize("samples", [np.array([[1 + 5j, 2, 3, 4]]), [[1.0, 2.0, 0j]]])
+def test_recording_rejects_complex_samples(samples):
+    # Casting would drop the imaginary parts with only a ComplexWarning.
+    with pytest.raises(DataError, match="real"):
+        Recording(samples, 200.0, "s", 0, 0)

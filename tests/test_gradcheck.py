@@ -37,21 +37,21 @@ def test_relu_kink_rejected_by_precondition():
 
 def test_relu_kink_inside_a_gcn_layer_rejected():
     # x W has an exact zero, so the layer's relu sits on its kink; the tape
-    # holds the GCN stack, attention and pooling as one checkpointed entry
-    # that keeps no ops, which the check must replay to look inside.
+    # holds the GCN stack, attention, pooling and readout as one checkpointed
+    # entry that keeps no ops, which the check must replay to look inside.
     x = Tensor([[[1.0, -1.0], [2.0, 0.5]]], requires_grad=True)
     w = Tensor([[1.0], [1.0]], requires_grad=True)
     w_att = Tensor([[1.0]], requires_grad=True)
     lap = Tensor(np.eye(2))
-    block = partial(model._gcn_pool, k=1.0)
+    block = partial(model._gcn_embedding, k=1.0)
 
     def f(x_, w_):
-        pooled, _ = record_block("gcn_pool", block, (x_, lap, w_att, w_))
-        return ops.reduce_sum(pooled)
+        embedding, _ = record_block("gcn_embedding", block, (x_, lap, w_att, w_))
+        return ops.reduce_sum(embedding)
 
     with Tape() as tape:
         f(x, w)
-    assert [e.op for e in tape.entries] == ["gcn_pool", "sum"]
+    assert [e.op for e in tape.entries] == ["gcn_embedding", "sum"]
     assert nonsmooth_margin(tape) == 0.0
     with pytest.raises(ContractError):
         grad_check(f, [x, w])

@@ -127,6 +127,16 @@ def plain_blocks(op, fn, inputs):
     return fn(*inputs)
 
 
+def default_setup(seed, batch):
+    """Default widths on a random 62-node graph: params, (batch, 62, 5) features, adjacency, Laplacian."""
+    rng = np.random.default_rng(seed)
+    params = init_params(5, 3, rng)
+    upper = np.triu(rng.uniform(0.1, 1.0, (62, 62)), 1)
+    adjacency = upper + upper.T
+    x = Tensor(rng.standard_normal((batch, 62, 5)))
+    return params, x, adjacency, Tensor(renormalized_laplacian(adjacency))
+
+
 def block_setup(rng, shape, widths, k=0.5):
     """The model's block at ratio ``k`` on a random graph, and its inputs.
 
@@ -142,7 +152,7 @@ def block_setup(rng, shape, widths, k=0.5):
     sizes = [features, *widths]
     weights = [Tensor(rng.standard_normal(io), requires_grad=True) for io in zip(sizes[:-1], sizes[1:])]
     w_att = Tensor(rng.standard_normal((sizes[-1], 1)), requires_grad=True)
-    return partial(model._gcn_pool, k=k), (x, lap, w_att, *weights)
+    return partial(model._gcn_embedding, k=k), (x, lap, w_att, *weights)
 
 
 def plain_block(block, x, lap, w_att, *weights):
@@ -152,7 +162,7 @@ def plain_block(block, x, lap, w_att, *weights):
         h = plain_gcn_layer(lap, h, w)
     scores = ops.tanh(plain_propagation(lap, h, w_att))
     index = top_rank(scores.data[..., 0], block.keywords["k"])
-    return sag_pool(h, scores, index), index
+    return readout(sag_pool(h, scores, index)), index
 
 
 def made_inside_blocks(monkeypatch):
@@ -177,14 +187,14 @@ def made_inside_blocks(monkeypatch):
         return run
 
     monkeypatch.setattr(ops, "record_op", recording)
-    monkeypatch.setattr(model, "_gcn_pool", marked(model._gcn_pool))
+    monkeypatch.setattr(model, "_gcn_embedding", marked(model._gcn_embedding))
     return made
 
 
 class TestGcnBlock:
-    """Under a tape the GCN stack, the attention scores and the pooling are one
-    checkpointed entry that keeps only the pooled nodes and recomputes in
-    backward; it is the model's only block."""
+    """Under a tape the GCN stack, the attention scores, the pooling and the
+    readout are one checkpointed entry that keeps only the embedding and
+    recomputes in backward; it is the model's only block."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_equal_the_op_by_op_tape_and_accumulate(self, seed, monkeypatch):
@@ -204,13 +214,13 @@ class TestGcnBlock:
             return tape, [out.data, *once], [t.grad for t in tensors]
 
         tape, blocked, twice = grads()
-        assert [e.op for e in tape.entries if e.meta and "fn" in e.meta] == ["gcn_pool"]
+        assert [e.op for e in tape.entries if e.meta and "fn" in e.meta] == ["gcn_embedding"]
         for g1, g2 in zip(blocked[1:], twice):
             np.testing.assert_array_equal(g2, 2.0 * g1)
         monkeypatch.setattr(model, "record_block", plain_blocks)
         monkeypatch.setattr(model, "gcn_layer", plain_gcn_layer)
         tape, plain, _ = grads()
-        assert "gcn_pool" not in {e.op for e in tape.entries}
+        assert "gcn_embedding" not in {e.op for e in tape.entries}
         for g_block, g_plain in zip(blocked, plain):
             np.testing.assert_array_equal(g_block, g_plain)
 
@@ -218,16 +228,16 @@ class TestGcnBlock:
     def test_an_input_passed_twice_gets_the_plain_gradient_once(self, batch):
         rng = np.random.default_rng(batch)
         block, (x, lap, w_att, w) = block_setup(rng, (batch, 5, 4), (4,))
-        mix = Tensor(rng.standard_normal((batch, retained_count(0.5, 5), 4)))
+        mix = Tensor(rng.standard_normal((batch, 2 * 4)))
 
-        def grads(pooled):
+        def grads(embedding):
             x.grad = w.grad = w_att.grad = None
             with Tape() as tape:
-                loss = ops.reduce_sum(ops.mul(pooled(x, lap, w_att, w, w), mix))
+                loss = ops.reduce_sum(ops.mul(embedding(x, lap, w_att, w, w), mix))
             backward(loss, tape)
             return x.grad, w.grad, w_att.grad
 
-        x_block, *w_block = grads(lambda *inputs: record_block("gcn_pool", block, inputs)[0])
+        x_block, *w_block = grads(lambda *inputs: record_block("gcn_embedding", block, inputs)[0])
         x_plain, *w_plain = grads(lambda *inputs: block(*inputs)[0])
         np.testing.assert_array_equal(x_block, x_plain)
         for g_block, g_plain in zip(w_block, w_plain):
@@ -261,7 +271,7 @@ class TestGcnBlock:
     def test_a_layer_makes_three_output_sized_buffers(self, width):
         # Width 3 narrows the 4 features, so the layer makes x W, then L (x W);
         # width 4 makes L x, then (L x) W. relu makes the third. In a block the
-        # tape keeps only the pooled output: 3 of the 5 nodes.
+        # tape keeps only the embedding: a mean and a max per column.
         batch, nodes, features = 3, 5, 4
         rng = np.random.default_rng(width)
         lap = Tensor(rng.standard_normal((nodes, nodes)))
@@ -277,11 +287,11 @@ class TestGcnBlock:
             plain_gcn_layer(lap, x, w)
         assert tape_data_bytes(plain) - given == 3 * output_sized
         w_att = Tensor(rng.standard_normal((width, 1)), requires_grad=True)
-        block = partial(model._gcn_pool, k=0.6)
+        block = partial(model._gcn_embedding, k=0.6)
         with Tape() as blocked:
-            record_block("gcn_pool", block, (x, lap, w_att, w))
-        pooled = batch * retained_count(0.6, nodes) * width * x.data.itemsize
-        assert tape_data_bytes(blocked) - given - w_att.data.nbytes == pooled
+            record_block("gcn_embedding", block, (x, lap, w_att, w))
+        embedding = batch * 2 * width * x.data.itemsize
+        assert tape_data_bytes(blocked) - given - w_att.data.nbytes == embedding
 
     def test_one_stack_entry_and_no_grad_inside(self, monkeypatch):
         made = made_inside_blocks(monkeypatch)
@@ -289,15 +299,15 @@ class TestGcnBlock:
         with Tape() as tape:
             out = loss()
         (block,) = [e for e in tape.entries if e.meta and "fn" in e.meta]
-        assert block.op == "gcn_pool" and tape.entries[0] is block
+        assert block.op == "gcn_embedding" and tape.entries[0] is block
         assert block.inputs == (x, block.inputs[1], params.w_att, *params.gcn_weights)
-        # The readout's ops follow on the caller's tape and read the pooled
-        # nodes; the attention's and the pooling's ops ran inside the block.
-        mean, peak, joined = tape.entries[1:4]
-        assert [e.op for e in (mean, peak, joined)] == ["mean", "max", "concat"]
-        assert mean.inputs == peak.inputs == (block.output,)
+        # The heads' ops follow on the caller's tape and read the embedding;
+        # the attention's, the pooling's and the readout's ops ran inside the
+        # block.
+        readers = [e.op for e in tape.entries if block.output in e.inputs]
+        assert readers == ["matmul", "grad_reverse"]
         on_tape = [e.op for e in tape.entries]
-        assert "tanh" not in on_tape and "gather_rows" not in on_tape
+        assert {"tanh", "gather_rows", "mean", "max", "concat"}.isdisjoint(on_tape)
         # The matmuls on the tape are the heads' own.
         assert on_tape.count("matmul") == len(params.emotion) + len(params.domain)
         forward_made = len(made)
@@ -316,7 +326,7 @@ class TestGcnBlock:
             with Tape() as tape:
                 out = loss()
             arrays = [weakref.ref(t.data) for t in made]
-            (output,) = [e.output.data for e in tape.entries if e.op == "gcn_pool"]
+            (output,) = [e.output.data for e in tape.entries if e.op == "gcn_embedding"]
             made.clear()
 
             def held():
@@ -334,7 +344,7 @@ class TestGcnBlock:
         for shape in ((3, 5, 4), (70, 5, 4)):  # one slice, then nine
             block, inputs = block_setup(rng, shape, (width, 3))
             plain_out, plain_index = plain_block(block, *inputs)
-            out, index = record_block("gcn_pool", block, inputs)
+            out, index = record_block("gcn_embedding", block, inputs)
             assert not out.requires_grad
             np.testing.assert_array_equal(out.data, plain_out.data)
             np.testing.assert_array_equal(index, plain_index)
@@ -345,11 +355,11 @@ class TestGcnBlock:
         x = Tensor(np.ones((1, 4, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
         w_att = Tensor(np.ones((1, 1)), requires_grad=True)
-        block = partial(model._gcn_pool, k=0.5)
+        block = partial(model._gcn_embedding, k=0.5)
         stack = tensor._STATE.stack
         with Tape() as tape:
             with pytest.raises(DimensionError):
-                record_block("gcn_pool", block, (x, Tensor(np.eye(3)), w_att, w))
+                record_block("gcn_embedding", block, (x, Tensor(np.eye(3)), w_att, w))
             assert tensor._STATE.stack is stack and stack == [tape]
             assert len(tape) == 0
             ops.relu(x)
@@ -361,10 +371,10 @@ class TestGcnBlock:
         w = Tensor(np.ones((2, 3)), requires_grad=True)
         w_att = Tensor(np.ones((3, 1)), requires_grad=True)
         lap = Tensor(np.eye(4))
-        block = partial(model._gcn_pool, k=0.5)
+        block = partial(model._gcn_embedding, k=0.5)
         with Tape() as tape:
-            pooled, _ = record_block("gcn_pool", block, (x, lap, w_att, w))
-            loss = ops.reduce_sum(pooled)
+            embedding, _ = record_block("gcn_embedding", block, (x, lap, w_att, w))
+            loss = ops.reduce_sum(embedding)
         lap.data = np.eye(3)  # the recompute reads it and fails in its first slice
         stack = tensor._STATE.stack
         with Tape() as outer:
@@ -449,7 +459,7 @@ class TestCheckpointSlicing:
             return tape, loss, out.data, index, [t.grad.copy() for t in (x_in, *params)]
 
         tape, loss, out, index, grads = run(
-            lambda x_: record_block("gcn_pool", recorded_block, (x_, lap, *params)), x, mix
+            lambda x_: record_block("gcn_embedding", recorded_block, (x_, lap, *params)), x, mix
         )
         assert seen == [*forward_slices, *slices]
         backward(loss, tape)
@@ -506,31 +516,40 @@ class TestCheckpointSlicing:
         rng = np.random.default_rng(3)
         block, inputs = block_setup(rng, (8 * tensor.SLICE_ROWS, 32, 32), (32, 32, 32))
         results = []
-        peak = traced_peak_bytes(lambda: results.append(record_block("gcn_pool", block, inputs)))
+        peak = traced_peak_bytes(lambda: results.append(record_block("gcn_embedding", block, inputs)))
         (out, index), sliced = results[0], inputs[0].data.nbytes // 8
         assert peak < out.data.nbytes + index.nbytes + 4 * sliced
 
-    def test_a_forward_batch_without_a_tape_holds_the_pooled_nodes_and_a_few_slices(self):
-        # The GCN stack's output is (B, 62, 64), twice the pooled nodes; a
-        # forward that held it whole would peak above this bound by itself.
-        rng = np.random.default_rng(8)
-        params = init_params(5, 3, rng)
-        nodes, width = 62, params.gcn_weights[-1].shape[-1]
-        upper = np.triu(rng.uniform(0.1, 1.0, (nodes, nodes)), 1)
-        adjacency = upper + upper.T
-        laplacian = Tensor(renormalized_laplacian(adjacency))
-        x = Tensor(rng.standard_normal((16 * tensor.SLICE_ROWS, nodes, 5)))
+    def test_an_untaped_forward_batch_holds_the_embedding_and_slices(self):
+        # The pooled nodes are (B, 31, 64), about 15 times the (B, 128)
+        # embedding; a forward that held them whole would peak above this
+        # bound by themselves.
+        params, x, adjacency, laplacian = default_setup(8, 16 * tensor.SLICE_ROWS)
+        nodes, width = x.shape[1], params.gcn_weights[-1].shape[-1]
         results = []
         peak = traced_peak_bytes(
             lambda: results.append(forward_batch(params, x, laplacian, adjacency, 0.5))
         )
-        pool = results[0][2]
+        index = results[0][2]
+        embedding = len(x.data) * 2 * width * x.data.itemsize
         sliced = tensor.SLICE_ROWS * nodes * width * x.data.itemsize
-        assert peak < pool.x_out.data.nbytes + pool.index.nbytes + 4 * sliced
+        assert peak < embedding + index.nbytes + 4 * sliced
+
+    def test_a_taped_forward_batch_keeps_less_than_the_pooled_nodes(self):
+        # Besides its inputs, the tape holds the (B, 128) embedding and the
+        # heads' activations: all of it together is less than the (B, 31, 64)
+        # pooled nodes, which a tape ending the block at pooling would keep.
+        params, x, adjacency, laplacian = default_setup(12, 2 * tensor.SLICE_ROWS)
+        x.requires_grad = True
+        given = sum(t.data.nbytes for t in (x, laplacian, *params.all_params()))
+        with Tape() as tape:
+            _, _, index = forward_batch(params, x, laplacian, adjacency, 0.5)
+        pooled = index.size * params.gcn_weights[-1].shape[-1] * x.data.itemsize
+        assert tape_data_bytes(tape) - given < pooled
 
     def test_a_taped_forward_batch_keeps_no_array_over_all_nodes(self):
         # Besides the features, whatever the tape holds has at most the
-        # pooled nodes: no (..., N, G) stack output or (..., N, 1) scores.
+        # embedding: no (..., N, G) stack output or (..., N, 1) scores.
         _, x, loss = batched_tiny(3, batch=20)
         with Tape() as tape:
             loss()
@@ -688,22 +707,26 @@ class TestSagPool:
     def test_gradient_reaches_attention_weights(self):
         params, x, _, laplacian = tiny_setup(3)
         with Tape() as tape:
-            pooled, _ = model._gcn_pool(x, laplacian, params.w_att, *params.gcn_weights, k=0.5)
-            loss = ops.reduce_sum(pooled)
+            embedding, _ = model._gcn_embedding(x, laplacian, params.w_att, *params.gcn_weights, k=0.5)
+            loss = ops.reduce_sum(embedding)
         backward(loss, tape)
         assert params.w_att.grad is not None
         assert np.abs(params.w_att.grad).max() > 0
 
     @pytest.mark.parametrize("k", [i / 10 for i in range(1, 11)])
     def test_node_count_exactly_ceil_k_n(self, k):
-        # The block with no GCN layer: attention on the features, then pooling.
+        # The block with no GCN layer: attention on the features, pooling,
+        # then the readout of what pooling kept.
         rng = np.random.default_rng(17)
         for n in range(1, 63):
             x = Tensor(rng.standard_normal((n, 2)))
+            lap = Tensor(np.eye(n))
             w_att = Tensor(rng.standard_normal((2, 1)))
-            pooled, index = model._gcn_pool(x, Tensor(np.eye(n)), w_att, k=k)
+            embedding, index = model._gcn_embedding(x, lap, w_att, k=k)
+            pooled = sag_pool(x, attention_scores(lap, x, w_att), index)
             assert pooled.shape == (retained_count(k, n), 2)
             assert index.shape == (retained_count(k, n),)
+            np.testing.assert_array_equal(embedding.data, readout(pooled).data)
 
 
 class TestReadout:
@@ -847,9 +870,9 @@ class TestForward:
     def test_an_empty_batch_gives_empty_outputs(self):
         params, x, adjacency, laplacian = tiny_setup(0)
         empty = Tensor(np.empty((0, *x.shape[1:])))
-        emotion, domain, pool = forward_batch(params, empty, laplacian, adjacency, 0.5)
+        emotion, domain, index = forward_batch(params, empty, laplacian, adjacency, 0.5)
         assert emotion.shape == (0, params.n_classes) and domain.shape == (0, 2)
-        assert pool.index.shape == (0, retained_count(0.5, x.shape[-2]))
+        assert index.shape == (0, retained_count(0.5, x.shape[-2]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_feature_rejected_at_its_position(self, bad):
@@ -876,8 +899,8 @@ class TestForward:
         adjacency = np.triu(raw, 1)
         adjacency = adjacency + adjacency.T
         laplacian = Tensor(renormalized_laplacian(adjacency))
-        _, _, pool = forward_batch(params, x, laplacian, adjacency, 0.5)
-        assert pool.index.shape == (1, 31)
+        _, _, index = forward_batch(params, x, laplacian, adjacency, 0.5)
+        assert index.shape == (1, 31)
 
     def test_deterministic_for_fixed_params(self):
         params, x, adjacency, laplacian = tiny_setup(2)
@@ -899,14 +922,14 @@ class TestForward:
     def test_batched_matches_per_sample(self, size, seed):
         params, _, adjacency, laplacian = tiny_setup(seed)
         batch = np.random.default_rng([seed, 1]).standard_normal((size, 4, 3))
-        emotion_b, domain_b, pool_b = forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
+        emotion_b, domain_b, index_b = forward_batch(params, Tensor(batch), laplacian, adjacency, 0.5)
         for i in range(size):
-            emotion_i, domain_i, pool_i = forward_batch(
+            emotion_i, domain_i, index_i = forward_batch(
                 params, Tensor(batch[i][None]), laplacian, adjacency, 0.5
             )
             np.testing.assert_allclose(emotion_b.data[i], emotion_i.data[0], atol=1e-12)
             np.testing.assert_allclose(domain_b.data[i], domain_i.data[0], atol=1e-12)
-            np.testing.assert_array_equal(pool_b.index[i], pool_i.index[0])
+            np.testing.assert_array_equal(index_b[i], index_i[0])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), perm=st.permutations(range(4)))
@@ -916,12 +939,12 @@ class TestForward:
         # Scores within rounding of a tie count as tied: the permuted products
         # sum in another order.
         params, x, adjacency, laplacian = tiny_setup(seed)
-        emotion, _, pool = forward_batch(params, x, laplacian, adjacency, 0.5)
+        emotion, _, index = forward_batch(params, x, laplacian, adjacency, 0.5)
         h = x
         for w in params.gcn_weights:
             h = gcn_layer(laplacian, h, w)
         scores = np.sort(attention_scores(laplacian, h, params.w_att).data[0, :, 0])[::-1]
-        kept = pool.index.shape[-1]
+        kept = index.shape[-1]
         assume(scores[kept - 1] - scores[kept] > 1e-9)
         perm = np.array(perm)
         p = np.eye(4)[perm]
