@@ -12,9 +12,10 @@ pooling and readout, runs on a (B, N, F) batch in slices of ``SLICE_ROWS``
 samples, with or without a tape, and records them as one checkpointed entry
 that references only its inputs, its output (the (B, 2G) embedding) and the
 nodes it kept. Its backward recomputes the block on the same slices with
-those nodes, so nothing is selected twice, each on a private tape dropped
-once the slice's gradients are taken. No intermediate of a block outlives its
-slice, and tensors made inside a block never get a ``grad``.
+those nodes, so nothing is selected twice, each on a private tape whose
+entries and spent gradients are dropped as the walk reaches them. No
+intermediate of a block outlives its slice, and tensors made inside a block
+never get a ``grad``.
 
 Tensors are single-writer: no op writes into its inputs' data, so a recorded
 tensor keeps the values it was recorded with.
@@ -41,10 +42,10 @@ _STATE = _State()
 
 # Samples per slice of a block, in its forward and its backward recompute, so a
 # block's memory is its output plus one slice's intermediates at any batch size.
-# On a B=256 train step (1 BLAS thread) the backward's recompute takes ~12k
-# minor faults per step at 32, ~2.5k at 16, ~0.7k at 8 and none at 4: glibc
-# trims the heap after a large slice and regrows it in the next. The step took
-# 104, 88, 76 and 73 ms (seed 11): 8 is as fast as 4 with half the slices.
+# A B=256 train step (1 BLAS thread, 150 steps, seeds 71-73) takes ~21k minor
+# faults at 32, ~12k at 16, ~90 at 8 and ~6 at 4 (getrusage means): above 8
+# glibc trims the heap after a slice and regrows it in the next. Median steps
+# took 88-130, 75-82, 61-76 and 71-75 ms: 8 is the fastest.
 SLICE_ROWS = 8
 
 
@@ -155,7 +156,8 @@ def record_block(
     active tape gets one entry (when some input requires a gradient) that
     references only ``inputs``, the output and the index. Its backward
     recomputes ``fn(*inputs, index=rows)`` on the same slices, each on a
-    private tape, where ``rows`` are the rows that slice's forward selected,
+    private tape whose entries and spent gradients are dropped as the walk
+    reaches them, where ``rows`` are the rows that slice's forward selected,
     so ``fn`` must use them rather than select again. It sums every slice's
     gradients into one table: the first input's slices fill one array, and an
     input passed twice gets its total once.
@@ -193,8 +195,10 @@ def record_block(
             part = Tensor(first.data[s], requires_grad=first.requires_grad)
             with Tape() as tape:
                 part_out, _ = fn(part, *rest, index=index[s])
-            flowing = {**totals, part_out: g[s]}
-            _propagate(tape.entries, flowing)
+            entries, flowing = tape.entries, {**totals, part_out: g[s]}
+            del tape, part_out  # the walk holds the only references
+            for _ in _propagate(entries, flowing):
+                pass
             if grad_first is not None:
                 grad_first[s] = flowing.get(part, 0.0)
             totals = {t: flowing[t] for t in rest if t in flowing}
@@ -210,18 +214,22 @@ def _contract_broken(op: str, got) -> ContractError:
     )
 
 
-def _propagate(entries: list[TapeEntry], flowing: dict[Tensor, np.ndarray]) -> None:
-    """Walk ``entries`` in reverse, summing each input's contributions into ``flowing``.
+def _propagate(entries: list[TapeEntry], flowing: dict[Tensor, np.ndarray]):
+    """Pop ``entries`` from the end, summing each input's contributions into ``flowing``.
 
     ``flowing`` maps a tensor to its gradient so far and must hold the
     starting gradient. Tensors hash by identity, so it keys each by itself.
+    An entry leaves ``entries`` when reached and its output's gradient leaves
+    ``flowing`` when taken; that (output, gradient) pair is yielded, so a
+    caller that keeps none frees both as it goes. The leaves' stay in ``flowing``.
     """
-    for entry in reversed(entries):
-        upstream = flowing.get(entry.output)
+    while entries:
+        entry = entries.pop()
+        upstream = flowing.pop(entry.output, None)
         if upstream is None:
             continue  # not on the path from the start
-        contributions = entry.backward(upstream)
-        for tensor, contrib in zip(entry.inputs, contributions):
+        yield entry.output, upstream
+        for tensor, contrib in zip(entry.inputs, entry.backward(upstream)):
             if contrib is None or not tensor.requires_grad:
                 continue
             held = flowing.get(tensor)
@@ -232,7 +240,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``grad`` buffers for every requires-grad tensor feeding ``loss``.
 
     Tensors made inside a block (:func:`record_block`) get none: their
-    gradients are freed when the block's backward returns. Gradients
+    gradients are freed as the block's backward walks its slices. Gradients
     accumulate: calling backward again without clearing grads adds a second,
     independent pass' contributions on top of the first. A tensor without a
     buffer adopts its summed contribution as ``grad`` when that is a fresh
@@ -242,11 +250,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     # Accumulate within this pass in a side table so repeated backward calls
-    # stay independent, then fold the totals into the persistent buffers.
+    # stay independent, then fold the totals into the persistent buffers. The
+    # walk pops a copy of the entries, so the tape stays whole for the next.
     flowing: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    _propagate(tape.entries, flowing)
+    spent = [*_propagate(list(tape.entries), flowing), *flowing.items()]
     adopted: set[int] = set()
-    for tensor, total in flowing.items():
+    for tensor, total in spent:
         if tensor.grad is not None:
             tensor.grad += total
         elif total.base is None and total.flags.writeable and id(total) not in adopted:
