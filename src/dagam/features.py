@@ -3,12 +3,14 @@
 Preprocessing follows the usual EEG recipe: integer-factor downsampling to
 the working rate with a wide band limit, then per-window, per-band
 differential entropy under a Gaussian model: DE = 0.5 * ln(2 * pi * e * var).
-Downsampling and band limit are one spectral pass: one rfft at the raw rate,
-truncation to the bins strictly below the new Nyquist, zeroing of the kept
-bins outside the band, and one irfft at the working rate (the trailing
-``n % factor`` samples are dropped). Band isolation is DFT masking, chosen
-so analytic sinusoids are exact test oracles; bin k of a width-n spectrum
-sits at k * rate / n Hz.
+Downsampling and band limit are one spectral pass: the raw-rate real
+spectrum, formed only at the bins strictly below the new Nyquist that lie in
+the band, and one irfft at the working rate (the trailing ``n % factor``
+samples are dropped). At an even raw width that spectrum comes from one
+half-length complex FFT of the even samples as real parts and the odd ones
+as imaginary parts; an odd width takes a plain rfft. Band isolation is DFT
+masking, chosen so analytic sinusoids are exact test oracles; bin k of a
+width-n spectrum sits at k * rate / n Hz.
 
 Feature extraction never forms the band-isolated windows: by Parseval, the
 unbiased variance of a width-n window masked to a band is the sum over the
@@ -51,7 +53,8 @@ class Recording:
     def __post_init__(self):
         if np.iscomplexobj(self.samples):
             raise DataError("samples must be real; found complex values")
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        # C order gives every row the unit stride that downsample's complex view needs.
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2:
             raise DataError(f"samples must be channels x time, got shape {self.samples.shape}")
         if not 0 < self.rate < np.inf:
@@ -80,13 +83,14 @@ class FeatureSample:
 def downsample(rec: Recording, target: float, band: tuple[float, float]) -> Recording:
     """Integer-factor spectral decimation, band-limited to ``band`` in the same pass.
 
-    One rfft at the input rate keeps the bins strictly below the new Nyquist
-    (every bin at factor 1), zeroes the kept bins outside ``band`` = (lo, hi)
-    Hz, and one irfft gives the result at ``target``. The trailing
-    ``n % factor`` samples are dropped. The band keeps exactly the bins
-    ``band_isolate`` keeps at ``target``, so at factor 1 this is
-    ``band_isolate``. A band of (0, target / 2) limits nothing beyond the
-    decimation itself.
+    Of the input-rate spectrum it keeps the bins strictly below the new
+    Nyquist (every bin at factor 1) that lie in ``band`` = (lo, hi) Hz, and
+    one irfft gives the result at ``target``. An even input width forms
+    those bins from one half-length complex FFT (``_band_spectrum``), an odd
+    one from a plain rfft. The trailing ``n % factor`` samples are dropped.
+    The band keeps exactly the bins ``band_isolate`` keeps at ``target``, so
+    at factor 1 this equals ``band_isolate`` to rounding. A band of
+    (0, target / 2) limits nothing beyond the decimation itself.
     """
     if not 0 < target < np.inf:
         raise ConfigError(f"target rate must be positive and finite, got {target}")
@@ -98,12 +102,46 @@ def downsample(rec: Recording, target: float, band: tuple[float, float]) -> Reco
     out_len = rec.n_samples // factor
     if out_len == 0:
         raise DataError(f"recording of {rec.n_samples} samples is shorter than the factor {factor}")
-    spectrum = np.fft.rfft(rec.samples[:, : out_len * factor], axis=-1)
     # Past factor 1 the new Nyquist bin itself aliases, so only bins strictly below it stay.
-    kept = spectrum[:, : out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2]
-    kept[:, ~_in_band(out_len, target, *band)[: kept.shape[-1]]] = 0.0
-    decimated = np.fft.irfft(kept, n=out_len, axis=-1) / factor
+    n_kept = out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2
+    kept = np.flatnonzero(_in_band(out_len, target, *band)[:n_kept])
+    spectrum = np.zeros((rec.n_channels, out_len // 2 + 1), dtype=np.complex128)
+    if kept.size:
+        raw = rec.samples[:, : out_len * factor]
+        _band_spectrum(raw, kept[0], kept[-1] + 1, 1.0 / factor, spectrum)
+    decimated = np.fft.irfft(spectrum, n=out_len, axis=-1)
     return Recording(decimated, target, rec.subject, rec.trial, rec.label)
+
+
+def _band_spectrum(x: np.ndarray, lo: int, hi: int, scale: float, out: np.ndarray) -> None:
+    """Write bins [lo, hi) of ``scale * rfft(x)`` along the last axis into ``out``.
+
+    An even width n packs into n/2 complex points x[2m] + i x[2m+1], a view
+    of unit-stride rows, and one complex FFT Z of them gives every real bin:
+    X_k = a_k Z_(k mod h) + b_k conj(Z_((h-k) mod h)) with h = n/2,
+    a_k = (1 - i w_k)/2, b_k = (1 + i w_k)/2 and w_k = exp(-2 pi i k / n)
+    (Sorensen et al., IEEE TASSP 1987). Bins 0 and h both mirror Z_0 and are
+    formed from it directly. An odd width has no such packing and takes the
+    plain rfft.
+    """
+    n = x.shape[-1]
+    if n % 2:
+        out[..., lo:hi] = np.fft.rfft(x, axis=-1)[..., lo:hi] * scale
+        return
+    h = n // 2
+    z = np.fft.fft(x.view(np.complex128), axis=-1)
+    k0, k1 = max(lo, 1), min(hi, h)
+    iw = 1j * np.exp(-2j * np.pi * np.arange(k0, k1) / n)
+    np.multiply(z[..., k0:k1], (1.0 - iw) * (scale / 2.0), out=out[..., k0:k1])
+    # These Z_k are read, so the mirror is conjugated and scaled inside z itself.
+    mirror = z[..., h - k1 + 1 : h - k0 + 1][..., ::-1]
+    np.conjugate(mirror, out=mirror)
+    mirror *= (1.0 + iw) * (scale / 2.0)
+    out[..., k0:k1] += mirror
+    if lo == 0:
+        out[..., 0] = (z[..., 0].real + z[..., 0].imag) * scale
+    if hi > h:
+        out[..., h] = (z[..., 0].real - z[..., 0].imag) * scale
 
 
 def _in_band(n: int, rate: float, lo: float, hi: float) -> np.ndarray:
@@ -206,7 +244,7 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
 def prepare_recording(rec: Recording) -> Recording:
     """Bring ``rec`` to WORKING_RATE limited to LIMIT_BAND in one spectral pass.
 
-    One raw-rate rfft, truncation below the new Nyquist, the LIMIT_BAND mask
-    and one irfft at WORKING_RATE, all inside ``downsample``.
+    The raw-rate spectrum below the new Nyquist within LIMIT_BAND and one
+    irfft at WORKING_RATE, all inside ``downsample``.
     """
     return downsample(rec, WORKING_RATE, LIMIT_BAND)

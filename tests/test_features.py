@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import traced_peak_bytes
 from dagam import features
 from dagam.errors import ConfigError, DataError, DegenerateInputError
 from dagam.features import (
@@ -56,7 +57,63 @@ def widths_and_bands(draw):
     return rate, width, bands
 
 
+@st.composite
+def decimations(draw):
+    """A factor in {1, 2, 5}, a raw width and a band at the target rate.
+
+    Widths of both parities, with and without a trailing ``n % factor``. The
+    band is the full range [0, target / 2] (at factor 1 it keeps the Nyquist
+    bin), one between two adjacent bins (it keeps none), or edges on and
+    between bins.
+    """
+    factor = draw(st.sampled_from((1, 2, 5)))
+    target = draw(st.sampled_from(PROPERTY_RATES))
+    n = draw(st.integers(factor, 300))
+    out_len = n // factor
+    step, nyquist = target / out_len, target / 2.0
+    kind = draw(st.sampled_from(("full", "between", "drawn")))
+    if kind == "full":
+        band = (0.0, nyquist)
+    elif kind == "between":
+        k = draw(st.integers(0, (out_len - 1) // 2))
+        band = (k * step + step / 4.0, k * step + step / 2.0)
+    else:
+        freqs = (np.arange(out_len // 2 + 1) * target / out_len).tolist()
+        edge = st.one_of(st.sampled_from(freqs), st.floats(0.0, nyquist))
+        band = tuple(sorted(draw(st.tuples(edge, edge).filter(lambda e: e[0] != e[1]))))
+    return factor, target, n, band
+
+
 class TestDownsample:
+    @settings(max_examples=80, deadline=None)
+    @given(case=decimations(), channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_spectral_composition(self, case, channels, seed):
+        # rfft at the raw rate, the bins below the new Nyquist (every bin at
+        # factor 1), the band mask, and irfft at the target rate over factor.
+        factor, target, n, (lo, hi) = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((channels, n)) + rng.uniform(-5.0, 5.0)
+        out = downsample(Recording(x, target * factor, "s0", 0, 0), target, (lo, hi))
+        out_len = n // factor
+        n_kept = out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2
+        freqs = np.arange(n_kept) * target / out_len
+        kept = np.fft.rfft(x[:, : out_len * factor], axis=-1)[:, :n_kept]
+        kept *= (freqs >= lo) & (freqs <= hi)
+        ref = np.fft.irfft(kept, n=out_len, axis=-1) / factor
+        np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
+
+    @pytest.mark.parametrize("n", [50000, 50003])
+    def test_makes_no_copy_of_the_recording(self, n):
+        rec = Recording(np.random.default_rng(n).standard_normal((8, n)), 1000.0, "s0", 0, 0)
+        peak = traced_peak_bytes(lambda: downsample(rec, 200.0, (1.0, 75.0)))
+        assert peak < 1.5 * rec.samples.nbytes
+
+    def test_fortran_ordered_recording_equals_its_c_copy(self):
+        x = np.asfortranarray(np.random.default_rng(6).standard_normal((4, 1000)))
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0, (1.0, 75.0))
+        ref = downsample(Recording(np.ascontiguousarray(x), 1000.0, "s0", 0, 0), 200.0, (1.0, 75.0))
+        np.testing.assert_array_equal(out.samples, ref.samples)
+
     def test_1000_to_200_keeps_every_fifth_sample_count(self):
         rec = Recording(np.zeros((2, 1000)), 1000.0, "s0", 0, 0)
         out = downsample(rec, 200.0, FULL_BAND)
@@ -124,7 +181,8 @@ class TestDownsample:
         # At factor 1 nothing aliases, so a band up to rate / 2 keeps that bin.
         x = np.random.default_rng(7).standard_normal((3, 444)) + 2.0
         out = downsample(Recording(x, 200.0, "s0", 0, 0), 200.0, (1.0, 100.0))
-        np.testing.assert_array_equal(out.samples, band_isolate(x, 1.0, 100.0, 200.0))
+        ref = band_isolate(x, 1.0, 100.0, 200.0)
+        np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
 
     @pytest.mark.parametrize("band", [(1.0, 101.0), (12.0, 8.0), (math.nan, 4.0), (1.0, math.nan)])
     def test_bad_band_rejected(self, band):
@@ -369,27 +427,33 @@ def test_prepare_recording_at_the_working_rate_is_band_isolate():
     x = np.random.default_rng(9).standard_normal((3, 600)) + 3.0
     out = prepare_recording(Recording(x, 200.0, "s", 0, 0))
     assert out.rate == 200.0
-    np.testing.assert_array_equal(out.samples, band_isolate(x, 1.0, 75.0, 200.0))
+    ref = band_isolate(x, 1.0, 75.0, 200.0)
+    np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_prepare_recording_is_one_downsample_call(monkeypatch):
     # The bench's stage timer (bench/tracing.py) wraps these module attributes,
-    # so the work must stay inside them.
-    calls = {"downsample": 0, "band_isolate": 0}
+    # so the work must stay inside them. An even width takes the packed complex
+    # FFT and never the real one; an odd width has only the real one.
+    calls = {"downsample": 0, "band_isolate": 0, "rfft": 0}
 
-    def counting(name):
-        original = getattr(features, name)
+    def count(module, name):
+        original = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        return wrapped
+        monkeypatch.setattr(module, name, wrapped)
 
-    for name in calls:
-        monkeypatch.setattr(features, name, counting(name))
-    prepare_recording(Recording(sine(10, 1000, 1.0), 1000.0, "s", 0, 0))
-    assert calls == {"downsample": 1, "band_isolate": 0}
+    count(features, "downsample")
+    count(features, "band_isolate")
+    count(np.fft, "rfft")
+    for n, rfft_calls in ((1000, 0), (1005, 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        x = np.random.default_rng(n).standard_normal((2, n))
+        prepare_recording(Recording(x, 1000.0, "s", 0, 0))
+        assert calls == {"downsample": 1, "band_isolate": 0, "rfft": rfft_calls}, f"width {n}"
 
 
 @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
