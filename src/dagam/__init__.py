@@ -1,9 +1,9 @@
 """Domain-adversarial graph attention pipeline for multichannel EEG.
 
 Layering, bottom to top: a float64 reverse-mode autodiff core (`tensor`,
-`ops`, `optim`, `gradcheck`), channel-graph construction (`graph`,
-`layouts`), differential-entropy features (`features`), and the model
-(`model`). Failures raise the classes in `errors`.
+`ops`, `optim`), channel-graph construction (`graph`, `layouts`),
+differential-entropy features (`features`), and the model (`model`).
+Failures raise the classes in `errors`.
 """
 
 from .tensor import Tape, Tensor, backward

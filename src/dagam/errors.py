@@ -47,4 +47,7 @@ class TrainingDivergenceError(DagamError):
 
 
 class GradCheckError(DagamError):
-    """Gradient verification hit a NaN; names the offending coordinate."""
+    """Gradient verification hit a NaN; names the offending coordinate.
+
+    Raised by the test oracle ``tests/gradcheck.py``, not by the package.
+    """

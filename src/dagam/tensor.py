@@ -99,7 +99,9 @@ class TapeEntry(NamedTuple):
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
     # Op-specific details for tape introspection: a max's reduce axis, a
     # block's function under "fn" and its selected rows under "index" (its
-    # ops are ``fn(*inputs, index=index)`` replayed).
+    # ops are ``fn(*inputs, index=index)`` replayed). No code in the package
+    # reads it: the test oracle ``tests/gradcheck.py`` does, and
+    # ``bench/tracing.py`` passes it through.
     meta: dict | None
 
 

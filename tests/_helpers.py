@@ -7,9 +7,10 @@ import numpy as np
 
 from dagam import Tape, Tensor, backward
 from dagam import model, ops
-from dagam.gradcheck import finite_difference, op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import forward_batch, init_params
+
+from gradcheck import finite_difference, op_entries
 
 TINY_GCN_HIDDEN = (5, 5, 5)
 TINY_EMOTION_HIDDEN = (6, 4)

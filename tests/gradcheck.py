@@ -14,9 +14,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractError, GradCheckError
-from .ops import LOG_FLOOR
-from .tensor import Tape, TapeEntry, Tensor, backward
+from dagam.errors import ContractError, GradCheckError
+from dagam.ops import LOG_FLOOR
+from dagam.tensor import Tape, TapeEntry, Tensor, backward
 
 
 def _top_two_gap(values: np.ndarray, axis: int) -> float:

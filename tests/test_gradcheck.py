@@ -8,9 +8,10 @@ import pytest
 from dagam import Tape, Tensor
 from dagam import model, ops
 from dagam.errors import ContractError, GradCheckError
-from dagam.gradcheck import finite_difference, grad_check, nonsmooth_margin, op_entries
 from dagam.model import gcn_layer
 from dagam.tensor import record_block
+
+from gradcheck import finite_difference, grad_check, nonsmooth_margin, op_entries
 
 TOL = 1e-4
 
@@ -84,9 +85,13 @@ def test_matmul_with_a_2d_right_operand(left):
 
 
 def test_max_tie_rejected():
-    x = Tensor([2.0, 2.0, 1.0], requires_grad=True)
-    with pytest.raises(ContractError):
-        grad_check(lambda x_: ops.reduce_max(x_, axis=0), [x])
+    # A 0-0 tie too: finite differences give [0.5, 0.5, 0] against an analytic
+    # [1, 0, 0]. Only the model's margin (_helpers._model_margin) may pass such
+    # ties, because there the zeros are relu-saturated and stay constant.
+    for values in ([2.0, 2.0, 1.0], [0.0, 0.0, -1.0]):
+        x = Tensor(values, requires_grad=True)
+        with pytest.raises(ContractError):
+            grad_check(lambda x_: ops.reduce_max(x_, axis=0), [x])
 
 
 def test_non_scalar_function_rejected():

@@ -23,7 +23,6 @@ from dagam.errors import (
     DimensionError,
     GraphError,
 )
-from dagam.gradcheck import nonsmooth_margin, op_entries
 from dagam.graph import renormalized_laplacian
 from dagam.model import (
     attention_scores,
@@ -39,6 +38,7 @@ from dagam.model import (
 from dagam.tensor import record_block
 
 from _helpers import TINY_GCN_HIDDEN, tape_data_bytes, tiny_model_grad_error, tiny_setup, traced_peak_bytes
+from gradcheck import grad_check, nonsmooth_margin, op_entries
 
 
 class TestGcnLayer:
@@ -54,8 +54,6 @@ class TestGcnLayer:
         np.testing.assert_allclose(out.data, [[3.0], [3.0]])
 
     def test_gradient_check_on_weights_and_features(self):
-        from dagam.gradcheck import grad_check
-
         rng = np.random.default_rng(11)
         # renormalized_laplacian takes a symmetric adjacency: mirror the strict upper triangle.
         upper = np.triu(np.abs(rng.standard_normal((4, 4))), 1)

@@ -1,7 +1,9 @@
-"""The package's public surface: exports resolve, errors share one base, no import is unread,
-no private module-level function, class or variable is left unread."""
+"""The package's public surface: exports resolve, errors share one base, the docstring names
+every module and no other, no import is unread, no private module-level function, class or
+variable is left unread."""
 
 import ast
+import re
 from pathlib import Path
 
 import dagam
@@ -29,6 +31,19 @@ def test_every_error_class_is_exported():
         if isinstance(obj, type) and issubclass(obj, DagamError)
     }
     assert defined <= set(dagam.__all__)
+
+
+def test_docstring_names_exactly_the_modules():
+    src = Path(__file__).resolve().parents[1] / "src" / "dagam"
+    modules = {path.stem for path in src.glob("*.py")} - {"__init__"}
+    assert modules
+    assert set(re.findall(r"`(\w+)`", dagam.__doc__)) == modules
+
+
+def _dead_code_scan_files() -> list[Path]:
+    """The package's sources, and the test oracle that reads the package's internals."""
+    root = Path(__file__).resolve().parents[1]
+    return [*sorted((root / "src").rglob("*.py")), root / "tests" / "gradcheck.py"]
 
 
 def _unread_imports(path: Path) -> list[str]:
@@ -69,9 +84,8 @@ def _module_level_names(tree: ast.Module):
 
 
 def test_every_private_function_is_referenced():
-    # Classes and variables too: a private name that no code in src/ reads is dead.
-    src = Path(__file__).resolve().parents[1] / "src"
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.rglob("*.py"))]
+    # Classes and variables too: a private name that no scanned code reads is dead.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in _dead_code_scan_files()]
     assert trees
     private = {
         name
@@ -114,7 +128,6 @@ def _unread_parameters(path: Path) -> list[str]:
 
 
 def test_no_parameter_is_unread():
-    src = Path(__file__).resolve().parents[1] / "src"
-    files = sorted(src.rglob("*.py"))
+    files = _dead_code_scan_files()
     assert files
     assert [hit for path in files for hit in _unread_parameters(path)] == []
