@@ -1,16 +1,17 @@
 """Differential-entropy features from multichannel recordings.
 
-Preprocessing follows the usual EEG recipe: integer-factor downsampling to
-the working rate with a wide band limit, then per-window, per-band
-differential entropy under a Gaussian model: DE = 0.5 * ln(2 * pi * e * var).
-Downsampling and band limit are one spectral pass: the raw-rate real
-spectrum, formed only at the bins strictly below the new Nyquist that lie in
-the band, and one irfft at the working rate (the trailing ``n % factor``
-samples are dropped). At an even raw width that spectrum comes from one
-half-length complex FFT of the even samples as real parts and the odd ones
-as imaginary parts; an odd width takes a plain rfft. Band isolation is DFT
-masking, chosen so analytic sinusoids are exact test oracles; bin k of a
-width-n spectrum sits at k * rate / n Hz.
+Preprocessing follows the SEED recipe: integer-factor downsampling to
+WORKING_RATE (200 Hz) with the LIMIT_BAND (1-75 Hz) band limit, then
+per-window, per-band differential entropy under a Gaussian model:
+DE = 0.5 * ln(2 * pi * e * var). Downsampling and band limit are one
+spectral pass: the raw-rate real spectrum, formed only at the bins that lie
+in LIMIT_BAND (all strictly below the new Nyquist), and one irfft at
+WORKING_RATE (the trailing ``n % factor`` samples are dropped). At an even
+raw width that spectrum comes from one half-length complex FFT of the even
+samples as real parts and the odd ones as imaginary parts; an odd width
+takes a plain rfft. Band isolation is DFT masking, chosen so analytic
+sinusoids are exact test oracles; bin k of a width-n spectrum sits at
+k * rate / n Hz.
 
 Feature extraction never forms the band-isolated windows: by Parseval, the
 unbiased variance of a width-n window masked to a band is the sum over the
@@ -22,6 +23,7 @@ an even n, and 2 for every other bin (it stands for itself and its mirror).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +53,17 @@ class Recording:
     label: int
 
     def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise DataError("samples must be real; found complex values")
-        # C order gives every row the unit stride that downsample's complex view needs.
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        if not isinstance(self.rate, numbers.Real) or not 0 < self.rate < np.inf:
+            raise DataError(f"sampling rate must be a positive finite number, got {self.rate!r}")
+        try:
+            if np.iscomplexobj(self.samples):
+                raise DataError("samples must be real; found complex values")
+            # C order gives every row the unit stride that downsample's complex view needs.
+            self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"samples must be a rectangular array of real numbers: {err}") from err
         if self.samples.ndim != 2:
             raise DataError(f"samples must be channels x time, got shape {self.samples.shape}")
-        if not 0 < self.rate < np.inf:
-            raise DataError(f"sampling rate must be positive and finite, got {self.rate}")
         if not np.isfinite(self.samples).all():
             raise DataError("samples must be finite; found NaN or infinity")
 
@@ -80,37 +85,32 @@ class FeatureSample:
     subject: str
 
 
-def downsample(rec: Recording, target: float, band: tuple[float, float]) -> Recording:
-    """Integer-factor spectral decimation, band-limited to ``band`` in the same pass.
+def downsample(rec: Recording) -> Recording:
+    """Integer-factor spectral decimation to WORKING_RATE, band-limited to LIMIT_BAND.
 
-    Of the input-rate spectrum it keeps the bins strictly below the new
-    Nyquist (every bin at factor 1) that lie in ``band`` = (lo, hi) Hz, and
-    one irfft gives the result at ``target``. An even input width forms
-    those bins from one half-length complex FFT (``_band_spectrum``), an odd
-    one from a plain rfft. The trailing ``n % factor`` samples are dropped.
-    The band keeps exactly the bins ``band_isolate`` keeps at ``target``, so
-    at factor 1 this equals ``band_isolate`` to rounding. A band of
-    (0, target / 2) limits nothing beyond the decimation itself.
+    Of the input-rate spectrum it keeps the bins that lie in LIMIT_BAND on
+    the grid of the decimated width, and one irfft gives the result at
+    WORKING_RATE. LIMIT_BAND ends below the new Nyquist, so no kept bin
+    aliases at any factor. An even input width forms those bins from one
+    half-length complex FFT (``_band_spectrum``), an odd one from a plain
+    rfft. The trailing ``n % factor`` samples are dropped. The kept bins are
+    exactly those ``band_isolate`` keeps at WORKING_RATE, so at factor 1
+    this equals ``band_isolate`` with LIMIT_BAND to rounding.
     """
-    if not 0 < target < np.inf:
-        raise ConfigError(f"target rate must be positive and finite, got {target}")
-    _check_band(*band, target)
-    ratio = rec.rate / target
+    ratio = rec.rate / WORKING_RATE
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
-        raise ConfigError(f"rate {rec.rate} is not an integer multiple of target {target}")
+        raise ConfigError(f"rate {rec.rate} Hz is not an integer multiple of {WORKING_RATE} Hz")
     out_len = rec.n_samples // factor
     if out_len == 0:
         raise DataError(f"recording of {rec.n_samples} samples is shorter than the factor {factor}")
-    # Past factor 1 the new Nyquist bin itself aliases, so only bins strictly below it stay.
-    n_kept = out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2
-    kept = np.flatnonzero(_in_band(out_len, target, *band)[:n_kept])
+    kept = np.flatnonzero(_in_band(out_len, WORKING_RATE, *LIMIT_BAND))
     spectrum = np.zeros((rec.n_channels, out_len // 2 + 1), dtype=np.complex128)
     if kept.size:
         raw = rec.samples[:, : out_len * factor]
         _band_spectrum(raw, kept[0], kept[-1] + 1, 1.0 / factor, spectrum)
     decimated = np.fft.irfft(spectrum, n=out_len, axis=-1)
-    return Recording(decimated, target, rec.subject, rec.trial, rec.label)
+    return Recording(decimated, WORKING_RATE, rec.subject, rec.trial, rec.label)
 
 
 def _band_spectrum(x: np.ndarray, lo: int, hi: int, scale: float, out: np.ndarray) -> None:
@@ -120,9 +120,9 @@ def _band_spectrum(x: np.ndarray, lo: int, hi: int, scale: float, out: np.ndarra
     of unit-stride rows, and one complex FFT Z of them gives every real bin:
     X_k = a_k Z_(k mod h) + b_k conj(Z_((h-k) mod h)) with h = n/2,
     a_k = (1 - i w_k)/2, b_k = (1 + i w_k)/2 and w_k = exp(-2 pi i k / n)
-    (Sorensen et al., IEEE TASSP 1987). Bins 0 and h both mirror Z_0 and are
-    formed from it directly. An odd width has no such packing and takes the
-    plain rfft.
+    (Sorensen et al., IEEE TASSP 1987). An even width needs 0 < lo < hi <= h:
+    bins 0 and h both mirror Z_0, and this forms neither. An odd width has
+    no such packing and takes the plain rfft.
     """
     n = x.shape[-1]
     if n % 2:
@@ -130,18 +130,13 @@ def _band_spectrum(x: np.ndarray, lo: int, hi: int, scale: float, out: np.ndarra
         return
     h = n // 2
     z = np.fft.fft(x.view(np.complex128), axis=-1)
-    k0, k1 = max(lo, 1), min(hi, h)
-    iw = 1j * np.exp(-2j * np.pi * np.arange(k0, k1) / n)
-    np.multiply(z[..., k0:k1], (1.0 - iw) * (scale / 2.0), out=out[..., k0:k1])
+    iw = 1j * np.exp(-2j * np.pi * np.arange(lo, hi) / n)
+    np.multiply(z[..., lo:hi], (1.0 - iw) * (scale / 2.0), out=out[..., lo:hi])
     # These Z_k are read, so the mirror is conjugated and scaled inside z itself.
-    mirror = z[..., h - k1 + 1 : h - k0 + 1][..., ::-1]
+    mirror = z[..., h - hi + 1 : h - lo + 1][..., ::-1]
     np.conjugate(mirror, out=mirror)
     mirror *= (1.0 + iw) * (scale / 2.0)
-    out[..., k0:k1] += mirror
-    if lo == 0:
-        out[..., 0] = (z[..., 0].real + z[..., 0].imag) * scale
-    if hi > h:
-        out[..., h] = (z[..., 0].real - z[..., 0].imag) * scale
+    out[..., lo:hi] += mirror
 
 
 def _in_band(n: int, rate: float, lo: float, hi: float) -> np.ndarray:
@@ -244,7 +239,6 @@ def extract_features(rec: Recording, bands, window_s: float) -> list[FeatureSamp
 def prepare_recording(rec: Recording) -> Recording:
     """Bring ``rec`` to WORKING_RATE limited to LIMIT_BAND in one spectral pass.
 
-    The raw-rate spectrum below the new Nyquist within LIMIT_BAND and one
-    irfft at WORKING_RATE, all inside ``downsample``.
+    All of it happens inside ``downsample``.
     """
-    return downsample(rec, WORKING_RATE, LIMIT_BAND)
+    return downsample(rec)

@@ -165,9 +165,9 @@ def _gcn_embedding(
 ) -> tuple[Tensor, np.ndarray]:
     """The checkpointed block of ``forward_batch``: GCN stack, attention scores, pooling, readout.
 
-    Returns the embedding (..., 2G) and the kept node indices (..., M). The
-    nodes are ``top_rank`` of the scores unless ``index`` gives them, as the
-    block's recompute does with the rows its forward kept.
+    Takes a (b, N, F) slice and returns its embedding (b, 2G) and kept node
+    indices (b, M). The nodes are ``top_rank`` of the scores unless ``index``
+    gives them, as the block's recompute does with the rows its forward kept.
     """
     for w in weights:
         x = gcn_layer(laplacian, x, w)

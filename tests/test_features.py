@@ -12,7 +12,9 @@ from dagam import features
 from dagam.errors import ConfigError, DataError, DegenerateInputError
 from dagam.features import (
     DEFAULT_BANDS,
+    LIMIT_BAND,
     VARIANCE_FLOOR,
+    WORKING_RATE,
     Recording,
     band_isolate,
     differential_entropy,
@@ -26,11 +28,6 @@ def sine(freq, rate, seconds, channels=1):
     t = np.arange(int(rate * seconds)) / rate
     wave = np.sin(2 * np.pi * freq * t)
     return np.tile(wave, (channels, 1))
-
-
-# The whole 0-100 Hz range at a 200 Hz target: downsampling with no band limit
-# beyond the decimation (at factor > 1 it zeroes none of the kept bins).
-FULL_BAND = (0.0, 100.0)
 
 
 # A power-of-two rate, and the working rate, at which k * rate / n is inexact
@@ -59,29 +56,16 @@ def widths_and_bands(draw):
 
 @st.composite
 def decimations(draw):
-    """A factor in {1, 2, 5}, a raw width and a band at the target rate.
-
-    Widths of both parities, with and without a trailing ``n % factor``. The
-    band is the full range [0, target / 2] (at factor 1 it keeps the Nyquist
-    bin), one between two adjacent bins (it keeps none), or edges on and
-    between bins.
-    """
+    """A factor in {1, 2, 5} and a raw width of either parity, with and without ``n % factor``."""
     factor = draw(st.sampled_from((1, 2, 5)))
-    target = draw(st.sampled_from(PROPERTY_RATES))
-    n = draw(st.integers(factor, 300))
-    out_len = n // factor
-    step, nyquist = target / out_len, target / 2.0
-    kind = draw(st.sampled_from(("full", "between", "drawn")))
-    if kind == "full":
-        band = (0.0, nyquist)
-    elif kind == "between":
-        k = draw(st.integers(0, (out_len - 1) // 2))
-        band = (k * step + step / 4.0, k * step + step / 2.0)
-    else:
-        freqs = (np.arange(out_len // 2 + 1) * target / out_len).tolist()
-        edge = st.one_of(st.sampled_from(freqs), st.floats(0.0, nyquist))
-        band = tuple(sorted(draw(st.tuples(edge, edge).filter(lambda e: e[0] != e[1]))))
-    return factor, target, n, band
+    return factor, draw(st.integers(factor, 300))
+
+
+def test_limit_band_lies_strictly_inside_the_working_nyquist():
+    # downsample keeps no rule of its own for the new Nyquist bin (it aliases
+    # past factor 1), and _band_spectrum forms neither bin 0 nor bin n/2 of an
+    # even width: both rest on LIMIT_BAND excluding 0 Hz and WORKING_RATE / 2.
+    assert 0 < LIMIT_BAND[0] < LIMIT_BAND[1] < WORKING_RATE / 2
 
 
 class TestDownsample:
@@ -89,46 +73,40 @@ class TestDownsample:
     @given(case=decimations(), channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_equals_the_spectral_composition(self, case, channels, seed):
         # rfft at the raw rate, the bins below the new Nyquist (every bin at
-        # factor 1), the band mask, and irfft at the target rate over factor.
-        factor, target, n, (lo, hi) = case
+        # factor 1), the LIMIT_BAND mask, and irfft at the working rate over factor.
+        factor, n = case
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((channels, n)) + rng.uniform(-5.0, 5.0)
-        out = downsample(Recording(x, target * factor, "s0", 0, 0), target, (lo, hi))
+        out = downsample(Recording(x, WORKING_RATE * factor, "s0", 0, 0))
         out_len = n // factor
         n_kept = out_len // 2 + 1 if factor == 1 else (out_len + 1) // 2
-        freqs = np.arange(n_kept) * target / out_len
+        freqs = np.arange(n_kept) * WORKING_RATE / out_len
         kept = np.fft.rfft(x[:, : out_len * factor], axis=-1)[:, :n_kept]
-        kept *= (freqs >= lo) & (freqs <= hi)
+        kept *= (freqs >= LIMIT_BAND[0]) & (freqs <= LIMIT_BAND[1])
         ref = np.fft.irfft(kept, n=out_len, axis=-1) / factor
         np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
 
     @pytest.mark.parametrize("n", [50000, 50003])
     def test_makes_no_copy_of_the_recording(self, n):
         rec = Recording(np.random.default_rng(n).standard_normal((8, n)), 1000.0, "s0", 0, 0)
-        peak = traced_peak_bytes(lambda: downsample(rec, 200.0, (1.0, 75.0)))
+        peak = traced_peak_bytes(lambda: downsample(rec))
         assert peak < 1.5 * rec.samples.nbytes
 
     def test_fortran_ordered_recording_equals_its_c_copy(self):
         x = np.asfortranarray(np.random.default_rng(6).standard_normal((4, 1000)))
-        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0, (1.0, 75.0))
-        ref = downsample(Recording(np.ascontiguousarray(x), 1000.0, "s0", 0, 0), 200.0, (1.0, 75.0))
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0))
+        ref = downsample(Recording(np.ascontiguousarray(x), 1000.0, "s0", 0, 0))
         np.testing.assert_array_equal(out.samples, ref.samples)
 
     def test_1000_to_200_keeps_every_fifth_sample_count(self):
         rec = Recording(np.zeros((2, 1000)), 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0, FULL_BAND)
+        out = downsample(rec)
         assert out.rate == 200.0
         assert out.n_samples == 200
 
-    def test_identity_when_rates_match(self):
-        # At factor 1 the full band zeroes nothing: only rfft/irfft rounding remains.
-        rec = Recording(sine(10, 200, 1.0), 200.0, "s0", 0, 0)
-        out = downsample(rec, 200.0, FULL_BAND)
-        np.testing.assert_allclose(out.samples, rec.samples, rtol=0, atol=1e-14)
-
     def test_below_nyquist_sine_preserved(self):
         rec = Recording(sine(10, 1000, 1.0), 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0, FULL_BAND)
+        out = downsample(rec)
         expected = sine(10, 200, 1.0)
         # amplitude preserved within 1%
         assert abs(out.samples.max() - expected.max()) < 0.01
@@ -137,59 +115,45 @@ class TestDownsample:
     def test_non_integer_ratio_rejected(self):
         rec = Recording(np.zeros((1, 300)), 300.0, "s0", 0, 0)
         with pytest.raises(ConfigError):
-            downsample(rec, 200.0, FULL_BAND)
+            downsample(rec)
+
+    def test_slower_than_the_working_rate_rejected(self):
+        # 100 / 200 rounds to factor 0.
+        rec = Recording(np.zeros((1, 1000)), 100.0, "s0", 0, 0)
+        with pytest.raises(ConfigError):
+            downsample(rec)
 
     def test_above_new_nyquist_content_removed(self):
         rec = Recording(sine(150, 1000, 1.0), 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0, FULL_BAND)
+        out = downsample(rec)
         assert np.abs(out.samples).max() < 1e-9
 
     def test_content_at_exactly_the_new_nyquist_removed(self):
         # A 100 Hz cosine decimated to 200 Hz would alias to +-1 every sample.
         t = np.arange(1000) / 1000.0
         rec = Recording(np.cos(2 * np.pi * 100.0 * t)[None, :], 1000.0, "s0", 0, 0)
-        out = downsample(rec, 200.0, FULL_BAND)
+        out = downsample(rec)
         assert np.abs(out.samples).max() < 1e-9
 
     @pytest.mark.parametrize("n", [1000, 1005])
     def test_equals_masking_then_keeping_every_fifth_sample(self, n):
         x = np.random.default_rng(n).standard_normal((3, n))
-        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0, FULL_BAND)
-        masked = band_isolate(x, 0.0, np.nextafter(100.0, 0.0), 1000.0)
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0))
+        masked = band_isolate(x, *LIMIT_BAND, 1000.0)
         np.testing.assert_allclose(out.samples, masked[:, ::5], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kept", [(1003, 1000), (997, 995)])
     def test_trailing_remainder_dropped(self, n, kept):
         x = np.random.default_rng(n).standard_normal((2, n))
-        out = downsample(Recording(x, 1000.0, "s0", 0, 0), 200.0, FULL_BAND)
-        head = downsample(Recording(x[:, :kept], 1000.0, "s0", 0, 0), 200.0, FULL_BAND)
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0))
+        head = downsample(Recording(x[:, :kept], 1000.0, "s0", 0, 0))
         assert out.n_samples == kept // 5
         np.testing.assert_array_equal(out.samples, head.samples)
 
     def test_shorter_than_factor_rejected(self):
         rec = Recording(np.zeros((1, 4)), 1000.0, "s0", 0, 0)
         with pytest.raises(DataError):
-            downsample(rec, 200.0, FULL_BAND)
-
-    @pytest.mark.parametrize("target", [0.0, math.nan, math.inf])
-    def test_bad_target_rate_rejected(self, target):
-        rec = Recording(np.zeros((1, 1000)), 1000.0, "s0", 0, 0)
-        with pytest.raises(ConfigError):
-            downsample(rec, target, FULL_BAND)
-
-    def test_band_at_factor_one_keeps_the_nyquist_bin(self):
-        # At factor 1 nothing aliases, so a band up to rate / 2 keeps that bin.
-        x = np.random.default_rng(7).standard_normal((3, 444)) + 2.0
-        out = downsample(Recording(x, 200.0, "s0", 0, 0), 200.0, (1.0, 100.0))
-        ref = band_isolate(x, 1.0, 100.0, 200.0)
-        np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
-
-    @pytest.mark.parametrize("band", [(1.0, 101.0), (12.0, 8.0), (math.nan, 4.0), (1.0, math.nan)])
-    def test_bad_band_rejected(self, band):
-        # 101 Hz is below the input's Nyquist (500 Hz) but above the target's.
-        rec = Recording(np.zeros((1, 1000)), 1000.0, "s0", 0, 0)
-        with pytest.raises(ConfigError):
-            downsample(rec, 200.0, band)
+            downsample(rec)
 
 
 class TestBandIsolate:
@@ -414,15 +378,6 @@ def test_prepare_recording_downsamples_and_band_limits():
     assert out.samples.std() == pytest.approx(np.sqrt(0.5), rel=0.02)
 
 
-@pytest.mark.parametrize("n", [1000, 1003, 1005])
-def test_prepare_recording_equals_downsampling_then_band_limiting(n):
-    x = 10.0 * np.random.default_rng(n).standard_normal((3, n)) + 4.0
-    rec = Recording(x, 1000.0, "s", 0, 0)
-    ref = band_isolate(downsample(rec, 200.0, FULL_BAND).samples, 1.0, 75.0, 200.0)
-    out = prepare_recording(rec)
-    np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12 * np.abs(x).max())
-
-
 def test_prepare_recording_at_the_working_rate_is_band_isolate():
     x = np.random.default_rng(9).standard_normal((3, 600)) + 3.0
     out = prepare_recording(Recording(x, 200.0, "s", 0, 0))
@@ -475,3 +430,19 @@ def test_recording_rejects_complex_samples(samples):
     # Casting would drop the imaginary parts with only a ComplexWarning.
     with pytest.raises(DataError, match="real"):
         Recording(samples, 200.0, "s", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "samples, rate",
+    [
+        ([[1.0, 2.0], [3.0]], 200.0),
+        ([["a", "b"]], 200.0),
+        (np.array([[1 + 2j, 3]], dtype=object), 200.0),
+        (np.zeros((2, 400)), "200"),
+        (np.zeros((2, 400)), None),
+    ],
+    ids=["ragged", "strings", "complex-objects", "rate-string", "rate-none"],
+)
+def test_recording_rejects_malformed_input(samples, rate):
+    with pytest.raises(DataError):
+        Recording(samples, rate, "s", 0, 0)
