@@ -11,7 +11,7 @@ from _helpers import traced_peak_bytes
 from dagam import features
 from dagam.errors import ConfigError, DataError, DegenerateInputError
 from dagam.features import (
-    DEFAULT_BANDS,
+    FFT_BLOCK_ROWS,
     LIMIT_BAND,
     VARIANCE_FLOOR,
     WORKING_RATE,
@@ -22,6 +22,10 @@ from dagam.features import (
     extract_features,
     prepare_recording,
 )
+
+
+# Standard analysis bands in Hz: delta, theta, alpha, beta, gamma.
+DEFAULT_BANDS = ((1.0, 4.0), (4.0, 8.0), (8.0, 14.0), (14.0, 31.0), (31.0, 50.0))
 
 
 def sine(freq, rate, seconds, channels=1):
@@ -91,6 +95,22 @@ class TestDownsample:
         rec = Recording(np.random.default_rng(n).standard_normal((8, n)), 1000.0, "s0", 0, 0)
         peak = traced_peak_bytes(lambda: downsample(rec))
         assert peak < 1.5 * rec.samples.nbytes
+
+    @pytest.mark.parametrize("n", [50000, 50003])
+    def test_holds_less_than_the_recording(self, n):
+        # The raw-rate FFT runs in channel blocks, so no full-size raw spectrum
+        # (as large as the recording at an even width) is ever allocated.
+        rec = Recording(np.random.default_rng(n).standard_normal((62, n)), 1000.0, "s0", 0, 0)
+        peak = traced_peak_bytes(lambda: downsample(rec))
+        assert peak < rec.samples.nbytes
+
+    @pytest.mark.parametrize("n", [3000, 3005])
+    @pytest.mark.parametrize("channels", [1, FFT_BLOCK_ROWS, FFT_BLOCK_ROWS + 1, 62])
+    def test_blocks_equal_each_channel_alone(self, channels, n):
+        x = np.random.default_rng(channels * n).standard_normal((channels, n))
+        out = downsample(Recording(x, 1000.0, "s0", 0, 0))
+        alone = [downsample(Recording(row[None, :], 1000.0, "s0", 0, 0)).samples for row in x]
+        assert np.array_equal(out.samples, np.concatenate(alone))
 
     def test_fortran_ordered_recording_equals_its_c_copy(self):
         x = np.asfortranarray(np.random.default_rng(6).standard_normal((4, 1000)))
@@ -367,6 +387,12 @@ class TestExtractFeatures:
         with pytest.raises(ConfigError, match="window length"):
             extract_features(rec, DEFAULT_BANDS, window_s)
 
+    def test_bool_window_rejected(self):
+        # bool is a number: True would be a 1 s window.
+        rec = Recording(np.zeros((2, 400)), 200.0, "s", 0, 0)
+        with pytest.raises(ConfigError, match="window length"):
+            extract_features(rec, DEFAULT_BANDS, True)
+
 
 def test_prepare_recording_downsamples_and_band_limits():
     rec = Recording(sine(10, 1000, 2.0) + 5.0, 1000.0, "s", 0, 0)
@@ -438,11 +464,35 @@ def test_recording_rejects_complex_samples(samples):
         ([[1.0, 2.0], [3.0]], 200.0),
         ([["a", "b"]], 200.0),
         (np.array([[1 + 2j, 3]], dtype=object), 200.0),
+        # Casting to float64 would parse these strings and map bools to 1.0 and 0.0.
+        ([["1.5", "2"]], 200.0),
+        ([[True, False]], 200.0),
+        (np.array([[1.0, 2.0]], dtype=object), 200.0),
+        (np.zeros((0, 400)), 200.0),
         (np.zeros((2, 400)), "200"),
         (np.zeros((2, 400)), None),
+        (np.zeros((2, 400)), True),  # bool is a numbers.Real: 1 Hz
     ],
-    ids=["ragged", "strings", "complex-objects", "rate-string", "rate-none"],
+    ids=[
+        "ragged",
+        "strings",
+        "complex-objects",
+        "numeric-strings",
+        "bools",
+        "float-objects",
+        "zero-channels",
+        "rate-string",
+        "rate-none",
+        "rate-bool",
+    ],
 )
 def test_recording_rejects_malformed_input(samples, rate):
     with pytest.raises(DataError):
         Recording(samples, rate, "s", 0, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint8])
+def test_recording_accepts_real_numeric_samples(dtype):
+    rec = Recording(np.arange(8, dtype=dtype).reshape(2, 4), 200.0, "s", 0, 0)
+    assert rec.samples.dtype == np.float64
+    np.testing.assert_array_equal(rec.samples, np.arange(8.0).reshape(2, 4))
